@@ -17,13 +17,10 @@
 //     with an emulated per-message interconnect latency (minimpi fault
 //     Delay, --latency_us, default 500). Fewer fused epochs -> fewer
 //     latency payments; this is the headline chain_speedup.
-//  4. SIMT-emulation divergence profile: one chained run under the
-//     warp-width lane executor, reporting warp occupancy and branch
-//     divergence counters for the RK pipeline's kernels.
 //
-// Writes BENCH_chain.json (chain_speedup, halo message counts, divergence
-// stats). Options: --scale=N (mesh scale, default 10), --iters=N (timed
-// inner iterations, default 8), --quick (scale 4, 3 iters, for CI smoke).
+// Writes BENCH_chain.json (chain_speedup, halo message counts). Options:
+// --scale=N (mesh scale, default 10), --iters=N (timed inner iterations,
+// default 8), --quick (scale 4, 3 iters, for CI smoke).
 #include <algorithm>
 #include <cstring>
 #include <memory>
@@ -276,37 +273,6 @@ int main(int argc, char** argv) {
   metrics.emplace_back("lat_halo_msgs_unchained", static_cast<double>(lplain.halo_msgs));
   metrics.emplace_back("lat_halo_msgs_chained", static_cast<double>(lchain.halo_msgs));
   metrics.emplace_back("lat_bit_identical", bit_equal(lchain.q, lplain.q) ? 1.0 : 0.0);
-
-  // --- 4. SIMT-emulation divergence profile -------------------------------
-  bench::section("SIMT emulation: warp occupancy and divergence");
-  {
-    op2::Config oc;
-    oc.simt = true;
-    oc.chain_tile = best_tile;
-    op2::Context ctx(oc);
-    const int sscale = std::max(2, scale / 2);
-    const auto smesh = rig::generate_row_mesh(row, {4 * sscale, 3 * sscale, 12 * sscale});
-    hydra::RowSolver solver(ctx, smesh, row, 0.0, bench_flow(/*chained=*/true));
-    ctx.partition(op2::Partitioner::Rcb, solver.cell_center());
-    solver.initialize();
-    op2::simt::reset();
-    solver.advance_inner(2);
-    const auto s = op2::simt::stats();
-    const double dfrac =
-        s.branch_slots ? static_cast<double>(s.divergent_branches) /
-                             static_cast<double>(s.branch_slots)
-                       : 0.0;
-    std::cout << util::fmt(
-        "  warps {} (full {}, partial {}), lanes {}\n  branch slots {}: {} divergent, "
-        "{} convergent ({}% divergence)\n",
-        s.warps, s.full_warps, s.partial_warps, s.lanes, s.branch_slots,
-        s.divergent_branches, s.convergent_branches, util::Table::num(100.0 * dfrac, 1));
-    metrics.emplace_back("simt_warps", static_cast<double>(s.warps));
-    metrics.emplace_back("simt_partial_warps", static_cast<double>(s.partial_warps));
-    metrics.emplace_back("simt_divergent_branches", static_cast<double>(s.divergent_branches));
-    metrics.emplace_back("simt_convergent_branches", static_cast<double>(s.convergent_branches));
-    metrics.emplace_back("simt_divergence_frac", dfrac);
-  }
 
   bench::write_bench_json("chain", metrics);
   return 0;

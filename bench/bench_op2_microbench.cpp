@@ -68,6 +68,22 @@ void BM_ParLoopDirect(benchmark::State& state) {
 }
 BENCHMARK(BM_ParLoopDirect)->Arg(1)->Arg(2)->Arg(4);
 
+// Fixed cost of one par_loop call: a direct loop over a 16-element set, so
+// the plan lookup, argument binding, element executor and metering dominate
+// the kernel work.
+void BM_ParLoopEmpty(benchmark::State& state) {
+  op2::Context ctx;
+  auto& tiny = ctx.decl_set("tiny", 16);
+  auto& a = ctx.decl_dat<double>(tiny, 1, "a");
+  for (auto _ : state) {
+    op2::par_loop("empty", tiny, [](double* v) { *v += 1.0; }, op2::rw(a));
+    benchmark::DoNotOptimize(a.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ParLoopEmpty);
+
 void BM_ParLoopIndirectInc(benchmark::State& state) {
   LoopFixture f(static_cast<int>(state.range(0)));
   op2::par_loop("zero", f.cells, [](double* v) { *v = 0.0; }, op2::write(f.res));

@@ -425,16 +425,10 @@ void RowSolver::flux_and_sources(int stage, op2::LoopChain* chain) {
               for (int s = 0; s < kNState; ++s) {
                 const double d2 =
                     gq[s * 3] * dx + gq[s * 3 + 1] * dy + gq[s * 3 + 2] * dz;
-                // Vote both sites unconditionally so every lane reaches
-                // them in the same order (keeps SIMT branch slots aligned
-                // across the warp); the limiter's sign split is the RK
-                // pipeline's main data-dependent divergence source.
-                const bool up = op2::simt::branch(d2 > 1e-14);
-                const bool dn = op2::simt::branch(d2 < -1e-14);
-                if (up) {
+                if (d2 > 1e-14) {
                   const double r = (mx[s] - q[s]) / d2;
                   if (r < lm[s]) lm[s] = r < 0 ? 0.0 : r;
-                } else if (dn) {
+                } else if (d2 < -1e-14) {
                   const double r = (mn[s] - q[s]) / d2;
                   if (r < lm[s]) lm[s] = r < 0 ? 0.0 : r;
                 }
@@ -491,8 +485,7 @@ void RowSolver::flux_and_sources(int stage, op2::LoopChain* chain) {
                                          gq[s * 3 + 2] * dz);
               }
               // Positivity guard: fall back to first order on bad states.
-              if (op2::simt::branch(out[0] < 0.05 * q[0] ||
-                                    pressure(out, gamma) <= 0.0)) {
+              if (out[0] < 0.05 * q[0] || pressure(out, gamma) <= 0.0) {
                 for (int s = 0; s < kNState; ++s) out[s] = q[s];
               }
             };
@@ -844,7 +837,7 @@ void RowSolver::inner_iteration() {
       const double scale = alpha * *dt / *vol;
       for (int s = 0; s < kNState; ++s) q[s] = q0[s] + scale * r[s];
       // Keep density/energy physical on transients.
-      if (op2::simt::branch(q[0] < 1e-3)) q[0] = 1e-3;
+      if (q[0] < 1e-3) q[0] = 1e-3;
       *nut = std::max(0.0, *nut0 + scale * *sr);
     };
     if (cfg_.chain_rk) {
@@ -932,7 +925,7 @@ void RowSolver::implicit_iteration() {
                 [sa_cfl](const double* d, const double* w, const double* sr, double* q,
                          double* nut) {
                   for (int s = 0; s < kNState; ++s) q[s] += d[s];
-                  if (op2::simt::branch(q[0] < 1e-3)) q[0] = 1e-3;
+                  if (q[0] < 1e-3) q[0] = 1e-3;
                   *nut = std::max(0.0, *nut + sa_cfl / std::max(*w, 1e-12) * *sr);
                 },
                 op2::read(*dq_), op2::read(*ws_), op2::read(*nut_res_), op2::rw(*q_),

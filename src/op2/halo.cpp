@@ -659,7 +659,7 @@ void Context::chain_exchange(ChainPlan& plan, const ChainSegment& seg) {
   }
 
   ++plan.halo_epochs;
-  plan.seconds += t.elapsed();
+  plan.halo_seconds += t.elapsed();
   if (tspan.active()) {
     tspan.arg("bytes", static_cast<double>(plan.halo_bytes - bytes0));
     tspan.arg("msgs", static_cast<double>(plan.halo_msgs - msgs0));

@@ -6,5 +6,4 @@
 #include "src/op2/map.hpp"
 #include "src/op2/parloop.hpp"
 #include "src/op2/set.hpp"
-#include "src/op2/simt.hpp"
 #include "src/op2/types.hpp"

@@ -42,7 +42,6 @@
 #include "src/op2/map.hpp"
 #include "src/op2/plan.hpp"
 #include "src/op2/set.hpp"
-#include "src/op2/simt.hpp"
 #include "src/op2/types.hpp"
 #include "src/util/timer.hpp"
 #include "src/util/trace.hpp"
@@ -238,9 +237,15 @@ inline ArgInfo to_info(const RowArg& a) {
 
 // --- bound (per-thread) argument views used in the hot loop -----------------
 
-/// Runtime core shared by the typed and legacy layers: raw pointers plus
-/// the layout parameters needed to stage non-unit-stride elements.
-template <class T>
+/// Kernel-facing pointer for access mode A: read arguments are const.
+template <class T, Access A>
+using KernelPtr = std::conditional_t<A == Access::Read, const T*, T*>;
+
+/// A dat argument bound to one worker: raw pointers plus the layout
+/// parameters needed to stage non-unit-stride elements. The access mode
+/// stays in the type, so constness and write-back are decided at compile
+/// time.
+template <class T, Access A>
 struct BoundDat {
   T* base;
   const index_t* table;  ///< null for direct
@@ -253,7 +258,10 @@ struct BoundDat {
   int bshift;           ///< log2(AoSoA block)
   index_t bmask;        ///< AoSoA block - 1
   T* scratch;           ///< null: direct pointers; else kStage*ddim lane block
-  Access acc;
+};
+template <class T, Access A>
+struct BoundGbl {
+  T* ptr;
 };
 struct BoundIdx {
   const gindex_t* l2g;  ///< local -> global of the iteration set
@@ -267,19 +275,8 @@ struct BoundRow {
   int mdim;
 };
 
-/// Typed veneers re-apply the compile-time access tag (constness) over the
-/// runtime core.
 template <class T, Access A>
-struct TBoundDat {
-  BoundDat<T> core;
-};
-template <class T, Access A>
-struct TBoundGbl {
-  T* ptr;
-};
-
-template <class T>
-[[nodiscard]] inline index_t tgt(const BoundDat<T>& b, index_t e) {
+[[nodiscard]] inline index_t tgt(const BoundDat<T, A>& b, index_t e) {
   return b.table
              ? b.table[static_cast<std::size_t>(e) * static_cast<std::size_t>(b.mdim) +
                        static_cast<std::size_t>(b.idx)]
@@ -288,67 +285,48 @@ template <class T>
 
 // Lane load/store for staged (non-unit-stride) dats: gathers element t's
 // components into a contiguous lane, scatters them back after the kernel.
-template <class T>
-inline void load_lane(const BoundDat<T>& b, index_t t, T* lane) {
+// Under SoA and AoSoA, component c of element t sits at off + c * step.
+template <class T, Access A>
+[[nodiscard]] inline std::pair<std::size_t, std::size_t> staged_addr(const BoundDat<T, A>& b,
+                                                                     index_t t) {
   const auto tu = static_cast<std::size_t>(t);
-  if (b.layout == Layout::SoA) {
-    for (int c = 0; c < b.ddim; ++c) {
-      lane[c] = b.base[static_cast<std::size_t>(c) * b.cap + tu];
-    }
-  } else {  // AoSoA
-    const std::size_t o0 = (((tu >> b.bshift) * static_cast<std::size_t>(b.ddim)) << b.bshift) +
-                           (tu & static_cast<std::size_t>(b.bmask));
-    for (int c = 0; c < b.ddim; ++c) {
-      lane[c] = b.base[o0 + (static_cast<std::size_t>(c) << b.bshift)];
-    }
-  }
+  if (b.layout == Layout::SoA) return {tu, b.cap};
+  return {(((tu >> b.bshift) * static_cast<std::size_t>(b.ddim)) << b.bshift) +
+              (tu & static_cast<std::size_t>(b.bmask)),
+          std::size_t{1} << b.bshift};
 }
-template <class T>
-inline void store_lane(const BoundDat<T>& b, index_t t, const T* lane) {
-  const auto tu = static_cast<std::size_t>(t);
-  if (b.layout == Layout::SoA) {
-    for (int c = 0; c < b.ddim; ++c) {
-      b.base[static_cast<std::size_t>(c) * b.cap + tu] = lane[c];
-    }
-  } else {  // AoSoA
-    const std::size_t o0 = (((tu >> b.bshift) * static_cast<std::size_t>(b.ddim)) << b.bshift) +
-                           (tu & static_cast<std::size_t>(b.bmask));
-    for (int c = 0; c < b.ddim; ++c) {
-      b.base[o0 + (static_cast<std::size_t>(c) << b.bshift)] = lane[c];
-    }
-  }
+template <class T, Access A>
+inline void load_lane(const BoundDat<T, A>& b, index_t t, T* lane) {
+  const auto [off, step] = staged_addr(b, t);
+  for (int c = 0; c < b.ddim; ++c) lane[c] = b.base[off + static_cast<std::size_t>(c) * step];
+}
+template <class T, Access A>
+inline void store_lane(const BoundDat<T, A>& b, index_t t, const T* lane) {
+  const auto [off, step] = staged_addr(b, t);
+  for (int c = 0; c < b.ddim; ++c) b.base[off + static_cast<std::size_t>(c) * step] = lane[c];
 }
 
 // --- per-element resolution (scalar path) -----------------------------------
 
 /// Kernel pointer for element e: direct storage pointer when unit-stride,
 /// else gather into the scratch lane (written back by post()).
-template <class T>
-[[nodiscard]] inline T* pre(BoundDat<T>& b, index_t e) {
+template <class T, Access A>
+[[nodiscard]] inline KernelPtr<T, A> pre(BoundDat<T, A>& b, index_t e) {
   const index_t t = tgt(b, e);
   if (!b.scratch) return b.base + static_cast<std::size_t>(t) * b.estride;
   load_lane(b, t, b.scratch);
   return b.scratch;
 }
-template <class T>
-inline void post(BoundDat<T>& b, index_t e) {
-  if (b.scratch && access_writes(b.acc)) store_lane(b, tgt(b, e), b.scratch);
+template <class T, Access A>
+inline void post(BoundDat<T, A>& b, index_t e) {
+  if constexpr (access_writes(A)) {
+    if (b.scratch) store_lane(b, tgt(b, e), b.scratch);
+  }
 }
 
 template <class T, Access A>
-[[nodiscard]] inline auto pre(TBoundDat<T, A>& b, index_t e) {
-  using P = std::conditional_t<A == Access::Read, const T*, T*>;
-  return static_cast<P>(pre(b.core, e));
-}
-template <class T, Access A>
-inline void post(TBoundDat<T, A>& b, index_t e) {
-  post(b.core, e);
-}
-
-template <class T, Access A>
-[[nodiscard]] inline auto pre(TBoundGbl<T, A>& b, index_t) {
-  using P = std::conditional_t<A == Access::Read, const T*, T*>;
-  return static_cast<P>(b.ptr);
+[[nodiscard]] inline KernelPtr<T, A> pre(BoundGbl<T, A>& b, index_t) {
+  return b.ptr;
 }
 [[nodiscard]] inline const gindex_t* pre(BoundIdx& b, index_t e) { return b.l2g + e; }
 template <class T>
@@ -358,66 +336,51 @@ template <class T>
 [[nodiscard]] inline const index_t* pre(BoundRow& b, index_t e) {
   return b.table + static_cast<std::size_t>(e) * static_cast<std::size_t>(b.mdim);
 }
+template <class B>
+inline void post(B&, index_t) {}
+
+// --- chunked staging (scalar path over conflict-free element sources) -------
+
 template <class T, Access A>
-inline void post(TBoundGbl<T, A>&, index_t) {}
-inline void post(BoundIdx&, index_t) {}
-template <class T>
-inline void post(BoundSpan<T>&, index_t) {}
-inline void post(BoundRow&, index_t) {}
-
-// --- chunked staging (scalar path over colored/conflict-free spans) ---------
-
-template <class T>
-[[nodiscard]] inline bool is_staged(const BoundDat<T>& b) {
+[[nodiscard]] inline bool is_staged(const BoundDat<T, A>& b) {
   return b.scratch != nullptr;
-}
-template <class T, Access A>
-[[nodiscard]] inline bool is_staged(const TBoundDat<T, A>& b) {
-  return b.core.scratch != nullptr;
 }
 template <class B>
 [[nodiscard]] inline bool is_staged(const B&) {
   return false;
 }
 
-template <class T>
-inline void stage_in(BoundDat<T>& b, const index_t* elems, int m) {
+/// Gathers elements src[p .. p+m) into consecutive scratch lanes.
+template <class T, Access A, class Src>
+inline void stage_in(BoundDat<T, A>& b, const Src& src, std::size_t p, int m) {
   if (!b.scratch) return;
   for (int k = 0; k < m; ++k) {
-    load_lane(b, tgt(b, elems[k]), b.scratch + static_cast<std::size_t>(k * b.ddim));
+    load_lane(b, tgt(b, src[p + static_cast<std::size_t>(k)]),
+              b.scratch + static_cast<std::size_t>(k * b.ddim));
   }
 }
-template <class T>
-inline void stage_out(BoundDat<T>& b, const index_t* elems, int m) {
-  if (!b.scratch || !access_writes(b.acc)) return;
-  for (int k = 0; k < m; ++k) {
-    store_lane(b, tgt(b, elems[k]), b.scratch + static_cast<std::size_t>(k * b.ddim));
+/// Scatters the lanes of a written argument back to elements src[p .. p+m).
+template <class T, Access A, class Src>
+inline void stage_out(BoundDat<T, A>& b, const Src& src, std::size_t p, int m) {
+  if constexpr (access_writes(A)) {
+    if (!b.scratch) return;
+    for (int k = 0; k < m; ++k) {
+      store_lane(b, tgt(b, src[p + static_cast<std::size_t>(k)]),
+                 b.scratch + static_cast<std::size_t>(k * b.ddim));
+    }
   }
 }
-template <class T, Access A>
-inline void stage_in(TBoundDat<T, A>& b, const index_t* elems, int m) {
-  stage_in(b.core, elems, m);
-}
-template <class T, Access A>
-inline void stage_out(TBoundDat<T, A>& b, const index_t* elems, int m) {
-  stage_out(b.core, elems, m);
-}
-template <class B>
-inline void stage_in(B&, const index_t*, int) {}
-template <class B>
-inline void stage_out(B&, const index_t*, int) {}
+template <class B, class Src>
+inline void stage_in(B&, const Src&, std::size_t, int) {}
+template <class B, class Src>
+inline void stage_out(B&, const Src&, std::size_t, int) {}
 
 /// Kernel pointer for chunk lane k (element e): the staged lane when
 /// staged, the plain storage pointer otherwise.
-template <class T>
-[[nodiscard]] inline T* lane(BoundDat<T>& b, index_t e, int k) {
+template <class T, Access A>
+[[nodiscard]] inline KernelPtr<T, A> lane(BoundDat<T, A>& b, index_t e, int k) {
   if (!b.scratch) return b.base + static_cast<std::size_t>(tgt(b, e)) * b.estride;
   return b.scratch + static_cast<std::size_t>(k * b.ddim);
-}
-template <class T, Access A>
-[[nodiscard]] inline auto lane(TBoundDat<T, A>& b, index_t e, int k) {
-  using P = std::conditional_t<A == Access::Read, const T*, T*>;
-  return static_cast<P>(lane(b.core, e, k));
 }
 template <class B>
 [[nodiscard]] inline auto lane(B& b, index_t e, int) {
@@ -429,14 +392,9 @@ template <class B>
 // direct and unit-stride (never staged) and globals are read-only, so the
 // body is branch-free strided arithmetic the compiler can vectorize.
 
-template <class T>
-[[nodiscard]] inline T* vptr(BoundDat<T>& b, index_t e) {
-  return b.base + static_cast<std::size_t>(e) * b.estride;
-}
 template <class T, Access A>
-[[nodiscard]] inline auto vptr(TBoundDat<T, A>& b, index_t e) {
-  using P = std::conditional_t<A == Access::Read, const T*, T*>;
-  return static_cast<P>(b.core.base + static_cast<std::size_t>(e) * b.core.estride);
+[[nodiscard]] inline KernelPtr<T, A> vptr(BoundDat<T, A>& b, index_t e) {
+  return b.base + static_cast<std::size_t>(e) * b.estride;
 }
 template <class B>
 [[nodiscard]] inline auto vptr(B& b, index_t e) {
@@ -456,40 +414,32 @@ struct GblScratch {
   int dim;
 };
 
-template <class T>
-DatScratch<T> dat_scratch(const Dat<T>& d, int nthreads) {
+template <class T, Access A>
+DatScratch<T> make_scratch(const DatArg<T, A>& a, int nthreads) {
   DatScratch<T> s;
-  if (!d.unit_stride()) {
+  if (!a.dat->unit_stride()) {
     s.buf.resize(static_cast<std::size_t>(nthreads) * static_cast<std::size_t>(kStage) *
-                 static_cast<std::size_t>(d.dim()));
+                 static_cast<std::size_t>(a.dat->dim()));
   }
   return s;
 }
-
-template <class T>
-GblScratch<T> gbl_scratch(const Global<T>& g, Access acc, int nthreads) {
-  if (acc == Access::Read) return GblScratch<T>{{}, g.dim()};
+template <class T, Access A>
+GblScratch<T> make_scratch(const GblArg<T, A>& a, int nthreads) {
+  const Global<T>& g = *a.g;
   GblScratch<T> s{{}, g.dim()};
-  s.buf.resize(static_cast<std::size_t>(nthreads) * static_cast<std::size_t>(g.dim()));
-  for (int t = 0; t < nthreads; ++t) {
-    for (int c = 0; c < g.dim(); ++c) {
-      const std::size_t i =
-          static_cast<std::size_t>(t) * static_cast<std::size_t>(g.dim()) +
-          static_cast<std::size_t>(c);
-      // Inc accumulates from zero; Min/Max fold from the current value.
-      s.buf[i] = acc == Access::Inc ? T{} : g.data()[c];
+  if constexpr (A != Access::Read) {
+    s.buf.resize(static_cast<std::size_t>(nthreads) * static_cast<std::size_t>(g.dim()));
+    for (int t = 0; t < nthreads; ++t) {
+      for (int c = 0; c < g.dim(); ++c) {
+        const std::size_t i =
+            static_cast<std::size_t>(t) * static_cast<std::size_t>(g.dim()) +
+            static_cast<std::size_t>(c);
+        // Inc accumulates from zero; Min/Max fold from the current value.
+        s.buf[i] = A == Access::Inc ? T{} : g.data()[c];
+      }
     }
   }
   return s;
-}
-
-template <class T, Access A>
-auto make_scratch(const DatArg<T, A>& a, int nthreads) {
-  return dat_scratch(*a.dat, nthreads);
-}
-template <class T, Access A>
-auto make_scratch(const GblArg<T, A>& a, int nthreads) {
-  return gbl_scratch(*a.g, A, nthreads);
 }
 inline NoScratch make_scratch(const IdxArg&, int) { return {}; }
 template <class T>
@@ -500,79 +450,137 @@ inline NoScratch make_scratch(const RowArg&, int) { return {}; }
 
 // --- binding ----------------------------------------------------------------
 
-template <class T>
-BoundDat<T> dat_bind(Dat<T>* d, const Map* m, int idx, Access acc, DatScratch<T>& s,
-                     int tid) {
+[[nodiscard]] inline int block_shift(int block) {
   int bshift = 0;
-  while ((1 << bshift) < d->block()) ++bshift;
-  return BoundDat<T>{
-      d->data(),
-      m ? m->table().data() : nullptr,
-      m ? m->dim() : 0,
-      idx,
-      d->dim(),
-      d->layout(),
-      d->elem_stride(),
-      static_cast<std::size_t>(d->capacity()),
-      bshift,
-      static_cast<index_t>(d->block() - 1),
-      s.buf.empty() ? nullptr
-                    : s.buf.data() + static_cast<std::size_t>(tid) *
-                                         static_cast<std::size_t>(kStage) *
-                                         static_cast<std::size_t>(d->dim()),
-      acc};
-}
-template <class T>
-T* gbl_bind(Global<T>* g, Access acc, GblScratch<T>& s, int tid) {
-  if (acc == Access::Read) return g->data();
-  return s.buf.data() + static_cast<std::size_t>(tid) * static_cast<std::size_t>(s.dim);
+  while ((1 << bshift) < block) ++bshift;
+  return bshift;
 }
 
 template <class T, Access A>
-TBoundDat<T, A> bind(const DatArg<T, A>& a, DatScratch<T>& s, int tid) {
-  return {dat_bind(a.dat, a.map, a.idx, A, s, tid)};
+BoundDat<T, A> bind(const DatArg<T, A>& a, DatScratch<T>& s, int tid) {
+  const Dat<T>& d = *a.dat;
+  return BoundDat<T, A>{
+      a.dat->data(),
+      a.map ? a.map->table().data() : nullptr,
+      a.map ? a.map->dim() : 0,
+      a.idx,
+      d.dim(),
+      d.layout(),
+      d.elem_stride(),
+      static_cast<std::size_t>(d.capacity()),
+      block_shift(d.block()),
+      static_cast<index_t>(d.block() - 1),
+      s.buf.empty() ? nullptr
+                    : s.buf.data() + static_cast<std::size_t>(tid) *
+                                         static_cast<std::size_t>(kStage) *
+                                         static_cast<std::size_t>(d.dim())};
 }
 template <class T, Access A>
-TBoundGbl<T, A> bind(const GblArg<T, A>& a, GblScratch<T>& s, int tid) {
-  return {gbl_bind(a.g, A, s, tid)};
+BoundGbl<T, A> bind(const GblArg<T, A>& a, GblScratch<T>& s, int tid) {
+  if constexpr (A == Access::Read) {
+    return {a.g->data()};
+  } else {
+    return {s.buf.data() + static_cast<std::size_t>(tid) * static_cast<std::size_t>(s.dim)};
+  }
 }
 inline BoundIdx bind(const IdxArg& a, NoScratch&, int) { return BoundIdx{a.l2g}; }
 template <class T>
 BoundSpan<T> bind(const SpanReadArg<T>& a, NoScratch&, int) {
-  int bshift = 0;
-  while ((1 << bshift) < a.dat->block()) ++bshift;
-  return BoundSpan<T>{DatSpan<T>{a.dat->data(), a.dat->dim(), a.dat->layout(),
-                                 static_cast<std::size_t>(a.dat->capacity()), bshift,
-                                 static_cast<index_t>(a.dat->block() - 1)}};
+  const Dat<T>& d = *a.dat;
+  return BoundSpan<T>{DatSpan<T>{a.dat->data(), d.dim(), d.layout(),
+                                 static_cast<std::size_t>(d.capacity()),
+                                 block_shift(d.block()), static_cast<index_t>(d.block() - 1)}};
 }
 inline BoundRow bind(const RowArg& a, NoScratch&, int) {
   return BoundRow{a.map->table().data(), a.map->dim()};
 }
 
-// --- reduction merge / finalize ---------------------------------------------
+// --- the element executor ---------------------------------------------------
 
-template <class T>
-void gbl_merge(Global<T>& g, Access acc, const GblScratch<T>& s, int nthreads) {
-  if (acc == Access::Read) return;
-  for (int c = 0; c < s.dim; ++c) {
-    T acc_v = g.data()[c];
-    for (int t = 0; t < nthreads; ++t) {
-      const T v = s.buf[static_cast<std::size_t>(t) * static_cast<std::size_t>(s.dim) +
-                        static_cast<std::size_t>(c)];
-      switch (acc) {
-        case Access::Inc: acc_v += v; break;
-        case Access::Min: acc_v = v < acc_v ? v : acc_v; break;
-        case Access::Max: acc_v = v > acc_v ? v : acc_v; break;
-        default: break;
+/// Element source for a fused chain tile: the contiguous range [lo, hi).
+/// An index list is the other source, as a std::span<const index_t>.
+struct IndexRange {
+  index_t lo;
+  index_t hi;
+  [[nodiscard]] std::size_t size() const { return static_cast<std::size_t>(hi - lo); }
+  [[nodiscard]] index_t operator[](std::size_t i) const { return lo + static_cast<index_t>(i); }
+};
+
+/// Per-element hook that does nothing.
+struct NoHook {
+  void operator()(index_t) const {}
+};
+
+/// The scalar element executor behind par_loop's colored and flat phases,
+/// its deterministic-capture phase and every fused LoopChain tile. Runs
+/// `kernel` once per element of `src`, in source order, with the arguments
+/// bound to worker `tid`'s scratch slices:
+///  - no argument staged (every dat unit-stride): a plain loop on storage
+///    pointers;
+///  - staged and `chunk_ok`: gather kStage elements into scratch lanes, run
+///    their kernels, scatter the written lanes back. Only valid when no two
+///    elements of a chunk write the same staged indirect target;
+///  - otherwise per-element gather (pre) and scatter (post).
+/// `hook(e)` runs after element e's kernel (the deterministic-reduction
+/// delta capture).
+template <class Kernel, class Args, class Scratch, class Src, class Hook = NoHook>
+void run_elements(Kernel& kernel, const Args& args, Scratch& scratch, int tid, Src src,
+                  bool chunk_ok, Hook&& hook = {}) {
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    auto bound = std::make_tuple(bind(std::get<I>(args), std::get<I>(scratch), tid)...);
+    const std::size_t n = src.size();
+    if (!(is_staged(std::get<I>(bound)) || ...)) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const index_t e = src[i];
+        kernel(pre(std::get<I>(bound), e)...);
+        hook(e);
       }
+      return;
     }
-    g.data()[c] = acc_v;
-  }
+    if (chunk_ok) {
+      for (std::size_t p = 0; p < n; p += kStage) {
+        const int m = static_cast<int>(std::min<std::size_t>(kStage, n - p));
+        (stage_in(std::get<I>(bound), src, p, m), ...);
+        for (int k = 0; k < m; ++k) {
+          const index_t e = src[p + static_cast<std::size_t>(k)];
+          kernel(lane(std::get<I>(bound), e, k)...);
+          hook(e);
+        }
+        (stage_out(std::get<I>(bound), src, p, m), ...);
+      }
+      return;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const index_t e = src[i];
+      kernel(pre(std::get<I>(bound), e)...);
+      (post(std::get<I>(bound), e), ...);
+      hook(e);
+    }
+  }(std::make_index_sequence<std::tuple_size_v<Args>>{});
 }
+
+// --- reduction merge / finalize ---------------------------------------------
 
 template <class T, Access A>
 void merge_scratch(const GblArg<T, A>& a, const GblScratch<T>& s, int nthreads) {
-  gbl_merge(*a.g, A, s, nthreads);
+  if constexpr (A != Access::Read) {
+    Global<T>& g = *a.g;
+    for (int c = 0; c < s.dim; ++c) {
+      T acc_v = g.data()[c];
+      for (int t = 0; t < nthreads; ++t) {
+        const T v = s.buf[static_cast<std::size_t>(t) * static_cast<std::size_t>(s.dim) +
+                          static_cast<std::size_t>(c)];
+        if constexpr (A == Access::Inc) {
+          acc_v += v;
+        } else if constexpr (A == Access::Min) {
+          acc_v = v < acc_v ? v : acc_v;
+        } else {
+          acc_v = v > acc_v ? v : acc_v;
+        }
+      }
+      g.data()[c] = acc_v;
+    }
+  }
 }
 template <class A, class S>
 void merge_scratch(const A&, const S&, int) {}
@@ -581,8 +589,9 @@ void merge_scratch(const A&, const S&, int) {}
 // With Config::deterministic_reductions on, a *distributed* loop carrying an
 // Inc global cannot just allreduce rank partials: the fold order would then
 // depend on the partitioning, breaking bit-identity across rank counts. The
-// executor instead runs per-element, captures each element's reduction
-// delta from the tid-0 scratch (read, then reset to zero), records it with
+// executor instead runs on tid 0 and, after each element's kernel, captures
+// that element's reduction delta from the tid-0 scratch (read, then reset
+// to zero; run_elements' per-element hook), records it with
 // the element's global id for owned elements (exec-halo elements are reset
 // but not recorded, so redundant computation never double-counts), and the
 // finalize step gathers every rank's (gid, delta) records, sorts by gid and
@@ -591,25 +600,22 @@ void merge_scratch(const A&, const S&, int) {}
 // (multi-accumulation kernels differ only at re-association rounding level,
 // within vcgt::verify's ULP policy).
 
-template <class T>
-inline void gbl_capture(Access acc, GblScratch<T>& s, std::vector<double>* out) {
-  if (acc != Access::Inc) return;
-  for (int c = 0; c < s.dim; ++c) {
-    T& v = s.buf[static_cast<std::size_t>(c)];
-    if (out) out->push_back(static_cast<double>(v));
-    v = T{};
-  }
-}
 template <class T, Access A>
 inline void capture_delta(const GblArg<T, A>&, GblScratch<T>& s, std::vector<double>* out) {
-  gbl_capture(A, s, out);
+  if constexpr (A == Access::Inc) {
+    for (int c = 0; c < s.dim; ++c) {
+      T& v = s.buf[static_cast<std::size_t>(c)];
+      if (out) out->push_back(static_cast<double>(v));
+      v = T{};
+    }
+  }
 }
 template <class A, class S>
 inline void capture_delta(const A&, S&, std::vector<double>*) {}
 
 template <class T, Access A>
 inline void count_inc_dims(const GblArg<T, A>& a, std::size_t& n) {
-  if (A == Access::Inc) n += static_cast<std::size_t>(a.g->dim());
+  if constexpr (A == Access::Inc) n += static_cast<std::size_t>(a.g->dim());
 }
 template <class A>
 inline void count_inc_dims(const A&, std::size_t&) {}
@@ -621,96 +627,43 @@ void snapshot_global(const GblArg<T, A>& a, std::vector<double>& out) {
 template <class A>
 void snapshot_global(const A&, std::vector<double>&) {}
 
-template <class T>
-void gbl_finalize(Context& ctx, Global<T>& g, Access acc, std::span<const double> initial,
-                  std::size_t& cursor) {
-  std::vector<T> init(static_cast<std::size_t>(g.dim()));
-  for (int c = 0; c < g.dim(); ++c) {
-    init[static_cast<std::size_t>(c)] =
-        static_cast<T>(initial[cursor + static_cast<std::size_t>(c)]);
-  }
-  cursor += static_cast<std::size_t>(g.dim());
-  ctx.finalize_global(g, acc, std::span<const T>(init));
-}
+/// The gathered (gid, delta) records of a deterministic capture, consumed
+/// one Inc global at a time.
+struct DeltaRecords {
+  std::span<const gindex_t> gids;
+  std::span<const double> deltas;
+  std::size_t stride;    ///< Inc-global components per record
+  std::size_t off = 0;   ///< the next Inc global's first component
+};
 
+// Finalization across ranks. Under the distributed deterministic capture
+// (`det` non-null), Inc globals fold the gathered (gid, delta) records;
+// Min/Max keep the plain order-insensitive allreduce.
 template <class T, Access A>
 void finalize_arg(Context& ctx, const GblArg<T, A>& a, std::span<const double> initial,
-                  std::size_t& cursor) {
-  gbl_finalize(ctx, *a.g, A, initial, cursor);
-}
-template <class A>
-void finalize_arg(Context&, const A&, std::span<const double>, std::size_t&) {}
-
-// Finalization under the distributed deterministic-capture path: Inc
-// globals fold the gathered (gid, delta) records; Min/Max keep the plain
-// order-insensitive allreduce.
-template <class T>
-void gbl_finalize_det(Context& ctx, Global<T>& g, Access acc,
-                      std::span<const double> initial, std::size_t& cursor,
-                      std::span<const gindex_t> gids, std::span<const double> deltas,
-                      std::size_t stride, std::size_t& off) {
+                  std::size_t& cursor, DeltaRecords* det) {
+  Global<T>& g = *a.g;
   std::vector<T> init(static_cast<std::size_t>(g.dim()));
   for (int c = 0; c < g.dim(); ++c) {
     init[static_cast<std::size_t>(c)] =
         static_cast<T>(initial[cursor + static_cast<std::size_t>(c)]);
   }
   cursor += static_cast<std::size_t>(g.dim());
-  if (acc == Access::Inc) {
-    ctx.finalize_global_det(g, std::span<const T>(init), gids, deltas, stride, off);
-    off += static_cast<std::size_t>(g.dim());
-  } else {
-    ctx.finalize_global(g, acc, std::span<const T>(init));
+  if (A == Access::Inc && det != nullptr) {
+    ctx.finalize_global_det(g, std::span<const T>(init), det->gids, det->deltas, det->stride,
+                            det->off);
+    det->off += static_cast<std::size_t>(g.dim());
+    return;
   }
-}
-template <class T, Access A>
-void finalize_arg_det(Context& ctx, const GblArg<T, A>& a, std::span<const double> initial,
-                      std::size_t& cursor, std::span<const gindex_t> gids,
-                      std::span<const double> deltas, std::size_t stride,
-                      std::size_t& off) {
-  gbl_finalize_det(ctx, *a.g, A, initial, cursor, gids, deltas, stride, off);
+  ctx.finalize_global(g, A, std::span<const T>(init));
 }
 template <class A>
-void finalize_arg_det(Context&, const A&, std::span<const double>, std::size_t&,
-                      std::span<const gindex_t>, std::span<const double>, std::size_t,
-                      std::size_t&) {}
+void finalize_arg(Context&, const A&, std::span<const double>, std::size_t&, DeltaRecords*) {}
 
 // par_loop wires the iteration set's numbering into IdxArgs.
 inline void attach_set(IdxArg& a, const Set& s) { a.l2g = s.local_to_global().data(); }
 template <class A>
 void attach_set(A&, const Set&) {}
-
-// --- SIMT-emulation march (simt.hpp) ----------------------------------------
-
-/// Marches `body(i)` for i in [0, n) as warps of kWarpWidth lanes: lanes run
-/// serially in ascending order (results bit-identical to a plain loop) while
-/// the warp hooks meter occupancy and branch divergence. Tail warps carry
-/// predicated-off lanes (active < kWarpWidth).
-template <class F>
-inline void simt_march(std::size_t n, F&& body) {
-  for (std::size_t w = 0; w < n; w += simt::kWarpWidth) {
-    const int active = static_cast<int>(
-        std::min<std::size_t>(simt::kWarpWidth, n - w));
-    simt::detail::warp_begin();
-    for (int l = 0; l < active; ++l) {
-      simt::detail::lane_begin(l);
-      body(w + static_cast<std::size_t>(l));
-    }
-    simt::detail::warp_end(active);
-  }
-}
-
-/// Emits the process-global SIMT counters as trace counter tracks (called by
-/// the executor after a SIMT-marched loop when tracing is on).
-inline void emit_simt_counters() {
-  const simt::Stats st = simt::stats();
-  trace::counter("simt:warps", static_cast<double>(st.warps));
-  trace::counter("simt:full_warps", static_cast<double>(st.full_warps));
-  trace::counter("simt:partial_warps", static_cast<double>(st.partial_warps));
-  trace::counter("simt:lanes", static_cast<double>(st.lanes));
-  trace::counter("simt:branch_slots", static_cast<double>(st.branch_slots));
-  trace::counter("simt:divergent", static_cast<double>(st.divergent_branches));
-  trace::counter("simt:convergent", static_cast<double>(st.convergent_branches));
-}
 
 }  // namespace detail
 
@@ -775,49 +728,17 @@ void par_loop(const char* name, const Set& set, Kernel&& kernel, As... as) {
   const bool det_capture = det_run && ctx.distributed() && inc_gbl_dims > 0;
   std::vector<gindex_t> delta_gids;
   std::vector<double> delta_vals;
-
-  const bool simt_on = ctx.config().simt;
   constexpr auto idx_seq = std::index_sequence_for<As...>{};
-  auto run_span = [&]<std::size_t... I>(std::span<const index_t> elems, int tid,
-                                        std::index_sequence<I...>) {
-    auto bound = std::make_tuple(
-        detail::bind(std::get<I>(args), std::get<I>(scratch), tid)...);
-    if (simt_on) {
-      // SIMT-emulation lane model: warp-width groups with per-lane
-      // predication, ascending lane order (bit-identical results). The
-      // per-element gather/scatter path is the always-safe one.
-      detail::simt_march(elems.size(), [&](std::size_t i) {
-        const index_t e = elems[i];
-        kernel(detail::pre(std::get<I>(bound), e)...);
-        (detail::post(std::get<I>(bound), e), ...);
-      });
-      return;
+  // Records owned elements' Inc deltas (tid 0's scratch) after each kernel.
+  const auto capture = [&, nown = set.n_owned()](index_t e) {
+    std::vector<double>* rec = nullptr;
+    if (e < nown) {
+      delta_gids.push_back(set.local_to_global()[static_cast<std::size_t>(e)]);
+      rec = &delta_vals;
     }
-    const bool any_staged = (detail::is_staged(std::get<I>(bound)) || ...);
-    if (!any_staged) {
-      for (const index_t e : elems) {
-        kernel(detail::pre(std::get<I>(bound), e)...);
-      }
-      return;
-    }
-    if (chunk_ok) {
-      const std::size_t n = elems.size();
-      for (std::size_t p = 0; p < n; p += detail::kStage) {
-        const int m = static_cast<int>(
-            std::min<std::size_t>(detail::kStage, n - p));
-        (detail::stage_in(std::get<I>(bound), elems.data() + p, m), ...);
-        for (int k = 0; k < m; ++k) {
-          kernel(detail::lane(std::get<I>(bound), elems[p + static_cast<std::size_t>(k)],
-                              k)...);
-        }
-        (detail::stage_out(std::get<I>(bound), elems.data() + p, m), ...);
-      }
-      return;
-    }
-    for (const index_t e : elems) {
-      kernel(detail::pre(std::get<I>(bound), e)...);
-      (detail::post(std::get<I>(bound), e), ...);
-    }
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+      (detail::capture_delta(std::get<I>(args), std::get<I>(scratch), rec), ...);
+    }(idx_seq);
   };
 
   // Vectorized path: iterate the contiguous index range directly — no
@@ -832,40 +753,30 @@ void par_loop(const char* name, const Set& set, Kernel&& kernel, As... as) {
     }
   };
 
-  // Deterministic-capture executor: per-element (gather/scatter path, safe
-  // for staged indirect writes), tid 0 only, recording Inc deltas for owned
-  // elements. SIMT marching is skipped here — lane order is ascending
-  // either way, so values are identical; only the occupancy counters are
-  // not metered for these loops.
-  auto run_capture = [&]<std::size_t... I>(std::span<const index_t> elems,
-                                           std::index_sequence<I...>) {
-    auto bound = std::make_tuple(
-        detail::bind(std::get<I>(args), std::get<I>(scratch), 0)...);
-    const auto& l2g = set.local_to_global();
-    const index_t nown = set.n_owned();
-    for (const index_t e : elems) {
-      kernel(detail::pre(std::get<I>(bound), e)...);
-      (detail::post(std::get<I>(bound), e), ...);
-      std::vector<double>* rec = nullptr;
-      if (e < nown) {
-        delta_gids.push_back(l2g[static_cast<std::size_t>(e)]);
-        rec = &delta_vals;
-      }
-      (detail::capture_delta(std::get<I>(args), std::get<I>(scratch), rec), ...);
+  // One index list through the element executor, split across workers.
+  auto run_list = [&](const std::vector<index_t>& elems) {
+    if (nthreads <= 1) {
+      detail::run_elements(kernel, args, scratch, 0, std::span<const index_t>(elems), chunk_ok);
+      return;
     }
+    ctx.pool().parallel_for(elems.size(), [&](int tid, std::size_t b, std::size_t e) {
+      detail::run_elements(kernel, args, scratch, tid,
+                           std::span<const index_t>(elems.data() + b, e - b), chunk_ok);
+    });
   };
 
   auto run_phase = [&](const std::vector<index_t>& flat,
                        const std::vector<std::vector<index_t>>& colors, bool contig) {
     if (det_capture) {
-      run_capture(std::span<const index_t>(flat), idx_seq);
+      detail::run_elements(kernel, args, scratch, 0, std::span<const index_t>(flat), chunk_ok,
+                           capture);
       return;
     }
     if (det_run) {
-      run_span(std::span<const index_t>(flat), 0, idx_seq);
+      detail::run_elements(kernel, args, scratch, 0, std::span<const index_t>(flat), chunk_ok);
       return;
     }
-    if (plan.vectorizable && contig && !flat.empty() && !simt_on) {
+    if (plan.vectorizable && contig && !flat.empty()) {
       const index_t lo = flat.front();
       if (nthreads <= 1) {
         run_range(lo, lo + static_cast<index_t>(flat.size()), 0, idx_seq);
@@ -878,52 +789,25 @@ void par_loop(const char* name, const Set& set, Kernel&& kernel, As... as) {
       return;
     }
     if (!plan.colored) {
-      if (nthreads <= 1) {
-        run_span(std::span<const index_t>(flat), 0, idx_seq);
-      } else {
-        ctx.pool().parallel_for(flat.size(), [&](int tid, std::size_t b, std::size_t e) {
-          run_span(std::span<const index_t>(flat.data() + b, e - b), tid, idx_seq);
-        });
-      }
+      run_list(flat);
       return;
     }
-    for (const auto& color : colors) {
-      if (nthreads <= 1) {
-        run_span(std::span<const index_t>(color), 0, idx_seq);
-      } else {
-        ctx.pool().parallel_for(color.size(), [&](int tid, std::size_t b, std::size_t e) {
-          run_span(std::span<const index_t>(color.data() + b, e - b), tid, idx_seq);
-        });
-      }
-    }
+    for (const auto& color : colors) run_list(color);
   };
 
   run_phase(plan.core, plan.core_colors, plan.core_contig);
   ctx.exchange_end(plan, pending);
   run_phase(plan.tail, plan.tail_colors, plan.tail_contig);
 
+  std::size_t cursor = 0;
+  detail::DeltaRecords records{delta_gids, delta_vals, inc_gbl_dims};
   [&]<std::size_t... I>(std::index_sequence<I...>) {
     (detail::merge_scratch(std::get<I>(args), std::get<I>(scratch), nthreads), ...);
+    (detail::finalize_arg(ctx, std::get<I>(args), std::span<const double>(initial), cursor,
+                          det_capture ? &records : nullptr),
+     ...);
   }(idx_seq);
 
-  std::size_t cursor = 0;
-  if (det_capture) {
-    std::size_t off = 0;
-    [&]<std::size_t... I>(std::index_sequence<I...>) {
-      (detail::finalize_arg_det(ctx, std::get<I>(args), std::span<const double>(initial),
-                                cursor, std::span<const gindex_t>(delta_gids),
-                                std::span<const double>(delta_vals), inc_gbl_dims, off),
-       ...);
-    }(idx_seq);
-  } else {
-    [&]<std::size_t... I>(std::index_sequence<I...>) {
-      (detail::finalize_arg(ctx, std::get<I>(args), std::span<const double>(initial),
-                            cursor),
-       ...);
-    }(idx_seq);
-  }
-
-  if (simt_on && trace::enabled()) detail::emit_simt_counters();
   ctx.post_loop(plan, infos, timer.elapsed());
 }
 
@@ -969,44 +853,18 @@ class LoopChain {
         args);
 
     Member mem;
-    // Fused-tile executor: one contiguous ascending element range, always
-    // through the per-element gather/scatter path (safe for staged
-    // indirect writes; a tile is too short-lived to amortize chunked
-    // staging anyway). Concurrent calls use distinct tids, and scratch
-    // blocks are per-tid slices, so same-color tiles may run in parallel.
-    mem.run_range = [this, kernel, args, scratch](index_t lo, index_t hi,
-                                                  int tid) mutable {
-      [&]<std::size_t... I>(std::index_sequence<I...>) {
-        auto bound = std::make_tuple(
-            detail::bind(std::get<I>(args), std::get<I>(scratch), tid)...);
-        if (ctx_.config().simt) {
-          detail::simt_march(static_cast<std::size_t>(hi - lo), [&](std::size_t i) {
-            const index_t e = lo + static_cast<index_t>(i);
-            kernel(detail::pre(std::get<I>(bound), e)...);
-            (detail::post(std::get<I>(bound), e), ...);
-          });
-          return;
-        }
-        // Same specialization as the solo executor: when no argument is
-        // staged (every dat unit-stride), post() is dead for every arg —
-        // skipping the calls drops a per-arg scratch check from the hot
-        // per-element loop.
-        if (!(detail::is_staged(std::get<I>(bound)) || ...)) {
-          for (index_t e = lo; e < hi; ++e) {
-            kernel(detail::pre(std::get<I>(bound), e)...);
-          }
-          return;
-        }
-        for (index_t e = lo; e < hi; ++e) {
-          kernel(detail::pre(std::get<I>(bound), e)...);
-          (detail::post(std::get<I>(bound), e), ...);
-        }
-      }(std::index_sequence_for<As...>{});
+    // Fused-tile executor: one contiguous ascending element range, staged
+    // arguments per element (safe for staged indirect writes; a tile is
+    // too short-lived to amortize chunked staging anyway). Concurrent calls
+    // use distinct tids, and scratch blocks are per-tid slices, so
+    // same-color tiles may run in parallel.
+    mem.run_tile = [kernel, args, scratch](index_t lo, index_t hi, int tid) mutable {
+      detail::run_elements(kernel, args, scratch, tid, detail::IndexRange{lo, hi},
+                           /*chunk_ok=*/false);
     };
     // Standalone fallback: the member runs as a full par_loop (its own
     // halo exchange, coloring, reduction merge/finalize machinery).
-    mem.run_loop = [&ctx = ctx_, lname = std::string(name), &set, kernel, args]() {
-      (void)ctx;
+    mem.run_loop = [lname = std::string(name), &set, kernel, args]() {
       std::apply([&](const auto&... a) { par_loop(lname.c_str(), set, kernel, a...); },
                  args);
     };
@@ -1015,10 +873,14 @@ class LoopChain {
 
   /// Executes the declared chain. Collective across the context's
   /// communicator; the plan is built on first call and cached by name.
+  ///
+  /// Metering: each loop's time is booked once. A standalone member books
+  /// its time in its own LoopPlan; a fused segment books its wall time,
+  /// epoch included, in ChainPlan::seconds, and the epoch alone in
+  /// ChainPlan::halo_seconds.
   void execute() {
     if (decls_.empty()) return;
     ChainPlan& plan = ctx_.get_chain_plan(name_, decls_);
-    util::Timer timer;
     trace::Span tspan("chain:" + name_);
     if (tspan.active()) {
       tspan.arg("members", static_cast<double>(plan.members.size()));
@@ -1039,6 +901,7 @@ class LoopChain {
         members_[static_cast<std::size_t>(seg.first)].run_loop();
         continue;
       }
+      util::Timer timer;
       ctx_.chain_exchange(plan, seg);
       const int count = seg.last - seg.first + 1;
       const int ntiles =
@@ -1050,7 +913,7 @@ class LoopChain {
           const index_t hi = be[static_cast<std::size_t>(t)];
           if (hi > lo) {
             const std::int64_t t0 = tr ? trace::now_ns() : 0;
-            members_[static_cast<std::size_t>(seg.first + m)].run_range(lo, hi, tid);
+            members_[static_cast<std::size_t>(seg.first + m)].run_tile(lo, hi, tid);
             if (tr) {
               member_ns[static_cast<std::size_t>(seg.first + m)].fetch_add(
                   trace::now_ns() - t0, std::memory_order_relaxed);
@@ -1082,6 +945,7 @@ class LoopChain {
           if (a.dat && access_writes(a.acc)) a.dat->mark_written();
         }
       }
+      plan.seconds += timer.elapsed();
     }
     if (tr) {
       for (std::size_t m = 0; m < member_ns.size(); ++m) {
@@ -1090,8 +954,6 @@ class LoopChain {
       }
     }
     ++plan.invocations;
-    plan.seconds += timer.elapsed();
-    if (ctx_.config().simt && trace::enabled()) detail::emit_simt_counters();
   }
 
   /// The cached plan (null before the first execute()).
@@ -1101,7 +963,7 @@ class LoopChain {
 
  private:
   struct Member {
-    std::function<void(index_t, index_t, int)> run_range;
+    std::function<void(index_t, index_t, int)> run_tile;
     std::function<void()> run_loop;
   };
 

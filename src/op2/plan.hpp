@@ -200,9 +200,11 @@ struct ChainPlan {
   /// persistent send buffers).
   std::vector<PlanSetComm> comms;
 
-  // Metering.
+  // Metering. Standalone members book their time in their own LoopPlan,
+  // so each loop's time is counted once.
   std::uint64_t invocations = 0;
-  double seconds = 0.0;
+  double seconds = 0.0;        ///< fused-segment wall time (incl. epochs)
+  double halo_seconds = 0.0;   ///< fused-epoch time (part of `seconds`)
   std::uint64_t halo_bytes = 0;
   std::uint64_t halo_msgs = 0;
   std::uint64_t halo_epochs = 0;  ///< fused epochs that exchanged anything

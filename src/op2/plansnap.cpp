@@ -412,7 +412,6 @@ std::string Context::cache_key(const char* kind) const {
   const std::uint64_t mode = (cfg_.latency_hiding ? 1u : 0u) |
                              ((cfg_.force_coloring || cfg_.nthreads > 1) ? 2u : 0u) |
                              (cfg_.partial_halos ? 4u : 0u) | (cfg_.grouped_halos ? 8u : 0u) |
-                             (cfg_.simt ? 16u : 0u) |
                              (static_cast<std::uint64_t>(cfg_.chain_tile) << 5);
   // Sharded and monolithic declarations of the same spec produce identical
   // plans by the equivalence contract, but their setup paths differ (e.g.

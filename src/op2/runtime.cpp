@@ -1,14 +1,10 @@
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <cstdlib>
-
 #include <stdexcept>
 
 #include "src/op2/context.hpp"
 #include "src/op2/internal.hpp"
 #include "src/op2/plancache.hpp"
-#include "src/op2/simt.hpp"
 #include "src/util/env_config.hpp"
 #include "src/util/log.hpp"
 
@@ -165,7 +161,6 @@ Context::Context(minimpi::Comm comm, Config cfg)
       util::warn("op2: ignoring unrecognized VCGT_OP2_LAYOUT '{}'", *env.op2_layout);
     }
   }
-  if (env.op2_simt) cfg_.simt = *env.op2_simt;
   if (env.op2_zero_copy) cfg_.zero_copy_transport = *env.op2_zero_copy;
   if (env.op2_chain_tile) {
     if (*env.op2_chain_tile > 0) {
@@ -459,6 +454,7 @@ Context::LoopStatsView Context::total_stats() const {
   for (const auto& [name, plan] : chains_) {
     total.invocations += plan->invocations;
     total.seconds += plan->seconds;
+    total.halo_seconds += plan->halo_seconds;
     total.halo_bytes += plan->halo_bytes;
     total.halo_msgs += plan->halo_msgs;
     total.elements += plan->elements;
@@ -524,6 +520,7 @@ void Context::reset_stats() {
   for (auto& [name, plan] : chains_) {
     plan->invocations = 0;
     plan->seconds = 0.0;
+    plan->halo_seconds = 0.0;
     plan->halo_bytes = 0;
     plan->halo_msgs = 0;
     plan->halo_epochs = 0;
@@ -535,88 +532,3 @@ void Context::reset_stats() {
 }
 
 }  // namespace vcgt::op2
-
-// --- SIMT-emulation counters (simt.hpp) --------------------------------------
-namespace vcgt::op2::simt {
-
-namespace {
-
-std::atomic<std::uint64_t> g_warps{0}, g_full{0}, g_partial{0}, g_lanes{0};
-std::atomic<std::uint64_t> g_slots{0}, g_divergent{0}, g_convergent{0};
-
-/// Per-thread warp state. Branch votes are indexed by call order within the
-/// lane: slot k is the k-th simt::branch() the lane executed, which aligns
-/// slots across lanes exactly when lanes reach the vote sites in the same
-/// order (the hardware analogy: one static branch per program point). A
-/// lane skipping a site entirely shows up as reach < active — divergent.
-struct WarpState {
-  bool in_warp = false;
-  std::size_t slot = 0;
-  std::vector<std::array<int, 2>> votes;  ///< per slot: {taken, reach}
-};
-thread_local WarpState tls;
-
-}  // namespace
-
-bool branch(bool cond) {
-  if (tls.in_warp) {
-    if (tls.slot >= tls.votes.size()) tls.votes.push_back({0, 0});
-    auto& v = tls.votes[tls.slot];
-    if (cond) ++v[0];
-    ++v[1];
-    ++tls.slot;
-  }
-  return cond;
-}
-
-Stats stats() {
-  Stats s;
-  s.warps = g_warps.load();
-  s.full_warps = g_full.load();
-  s.partial_warps = g_partial.load();
-  s.lanes = g_lanes.load();
-  s.branch_slots = g_slots.load();
-  s.divergent_branches = g_divergent.load();
-  s.convergent_branches = g_convergent.load();
-  return s;
-}
-
-void reset() {
-  g_warps = 0;
-  g_full = 0;
-  g_partial = 0;
-  g_lanes = 0;
-  g_slots = 0;
-  g_divergent = 0;
-  g_convergent = 0;
-}
-
-namespace detail {
-
-void warp_begin() {
-  tls.in_warp = true;
-  tls.votes.clear();
-  tls.slot = 0;
-}
-
-void lane_begin(int lane) {
-  (void)lane;
-  tls.slot = 0;
-}
-
-void warp_end(int active) {
-  tls.in_warp = false;
-  g_warps.fetch_add(1, std::memory_order_relaxed);
-  (active == kWarpWidth ? g_full : g_partial).fetch_add(1, std::memory_order_relaxed);
-  g_lanes.fetch_add(static_cast<std::uint64_t>(active), std::memory_order_relaxed);
-  for (const auto& v : tls.votes) {
-    g_slots.fetch_add(1, std::memory_order_relaxed);
-    const bool divergent = v[1] < active || (v[0] > 0 && v[0] < v[1]);
-    (divergent ? g_divergent : g_convergent).fetch_add(1, std::memory_order_relaxed);
-  }
-  tls.votes.clear();
-}
-
-}  // namespace detail
-
-}  // namespace vcgt::op2::simt

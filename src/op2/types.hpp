@@ -142,12 +142,6 @@ struct Config {
   /// (vcgt::verify's oracle policy; see DESIGN.md §9). Loops without a
   /// reduction are unaffected.
   bool deterministic_reductions = false;
-  /// SIMT-emulation executor (DESIGN.md §10): march warp-width lane groups
-  /// over the element lists with per-lane predication, recording
-  /// warp-occupancy and branch-divergence counters (op2::simt). Lanes run
-  /// in ascending element order, so results are bit-identical to the
-  /// scalar executor. Also settable via VCGT_OP2_SIMT=1.
-  bool simt = false;
   /// Tile width (seed-member elements per cross-loop tile) for fused
   /// LoopChain execution. Also settable via VCGT_OP2_CHAIN_TILE.
   int chain_tile = 4096;

@@ -55,8 +55,6 @@ void parse_bool(EnvConfig& cfg, const char* name, std::optional<bool>* out) {
   const char* v = std::getenv(name);
   if (!v) return;
   (void)cfg;
-  // Historical VCGT_OP2_SIMT convention: empty or "0" disables, anything
-  // else enables.
   *out = v[0] != '\0' && v[0] != '0';
 }
 
@@ -83,7 +81,6 @@ EnvConfig env_config() {
   EnvConfig cfg;
   parse_string(cfg, "VCGT_LOG", &cfg.log_level);
   parse_string(cfg, "VCGT_OP2_LAYOUT", &cfg.op2_layout);
-  parse_bool(cfg, "VCGT_OP2_SIMT", &cfg.op2_simt);
   parse_int(cfg, "VCGT_OP2_CHAIN_TILE", &cfg.op2_chain_tile);
   parse_bool(cfg, "VCGT_OP2_ZERO_COPY", &cfg.op2_zero_copy);
   parse_double(cfg, "VCGT_RECV_TIMEOUT", &cfg.recv_timeout);
@@ -102,7 +99,6 @@ std::string EnvConfig::describe() const {
   std::string out = "VCGT_* environment configuration:\n";
   out += show("VCGT_LOG", log_level);
   out += show("VCGT_OP2_LAYOUT", op2_layout);
-  out += show("VCGT_OP2_SIMT", op2_simt);
   out += show("VCGT_OP2_CHAIN_TILE", op2_chain_tile);
   out += show("VCGT_OP2_ZERO_COPY", op2_zero_copy);
   out += show("VCGT_RECV_TIMEOUT", recv_timeout);

@@ -1,16 +1,18 @@
 // LoopChain planner/executor tests (DESIGN.md §10): cross-loop dependence
 // classification, dependence-aligned tile frontiers and tile coloring,
-// fused halo epochs, chained-plan fingerprints, the hydra RK stage chain,
-// and the SIMT-emulation executor's predication/divergence counters.
+// fused halo epochs, chain metering, chained-plan fingerprints and the
+// hydra RK stage chain.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <set>
 #include <vector>
 
 #include "src/hydra/solver.hpp"
+#include "src/minimpi/fault.hpp"
 #include "src/minimpi/minimpi.hpp"
 #include "src/op2/op2.hpp"
 #include "src/rig/annulus.hpp"
@@ -363,6 +365,70 @@ TEST(ChainDist, FusedEpochsBitIdenticalWithFewerMessages) {
   EXPECT_LT(chain_msgs, plain_msgs);
 }
 
+// --- metering ----------------------------------------------------------------
+
+TEST(ChainMetering, EachLoopTimedOnceEpochsInHaloTime) {
+  // Two ranks run a chain whose fused segment opens with a halo epoch —
+  // every send delayed by the fault plan — followed by a heavy standalone
+  // reduction member. Each loop's time must be booked once, so the
+  // context's total loop time cannot exceed the wall time of the execute()
+  // calls, and the fused epochs' time must reach halo_seconds.
+  const auto mesh = test::make_grid(12, 10);
+  constexpr int kIters = 3;
+  constexpr double kDelay = 0.005;
+  minimpi::FaultConfig fcfg;
+  fcfg.seed = 11;
+  fcfg.p_delay = 1.0;
+  fcfg.delay_seconds = kDelay;
+  minimpi::WorldOptions opts;
+  opts.fault = std::make_shared<minimpi::FaultPlan>(fcfg);
+
+  minimpi::World::run(2, [&](minimpi::Comm& comm) {
+    op2::Context ctx(comm);
+    auto& nodes = ctx.decl_set("nodes", mesh.nnode);
+    auto& edges = ctx.decl_set("edges", mesh.nedge);
+    auto& e2n = ctx.decl_map("e2n", edges, nodes, 2, mesh.edge2node);
+    auto& coords = ctx.decl_dat<double>(nodes, 2, "coords", mesh.coords);
+    auto& x = ctx.decl_dat<double>(nodes, 1, "x",
+                                   std::vector<double>(static_cast<std::size_t>(mesh.nnode), 1.0));
+    auto& res = ctx.decl_dat<double>(nodes, 1, "res");
+    auto norm = ctx.decl_global<double>("norm", 1);
+    ctx.partition(op2::Partitioner::Rcb, coords);
+
+    op2::LoopChain chain(ctx, "metered");
+    chain.add("zero_res", nodes, [](double* r) { *r = 0.0; }, op2::write(res));
+    chain.add("edge_flux", edges,
+              [](const double* xa, const double* xb, double* ra, double* rb) {
+                const double f = 0.5 * (*xb - *xa);
+                *ra += f;
+                *rb -= f;
+              },
+              op2::read(x, e2n, 0), op2::read(x, e2n, 1), op2::inc(res, e2n, 0),
+              op2::inc(res, e2n, 1));
+    chain.add("update", nodes, [](double* xv, const double* r) { *xv += 0.3 * *r + 0.01; },
+              op2::rw(x), op2::read(res));
+    chain.add("heavy_norm", nodes,
+              [](const double* xv, double* s) {
+                double a = *xv;
+                for (int k = 0; k < 4000; ++k) a = std::sin(a) + 1e-3;
+                *s += a;
+              },
+              op2::read(x), op2::reduce_sum(norm));
+
+    util::Timer wall;
+    for (int i = 0; i < kIters; ++i) chain.execute();
+    const double wall_s = wall.elapsed();
+
+    const op2::ChainPlan* plan = chain.plan();
+    ASSERT_NE(plan, nullptr);
+    ASSERT_GT(plan->halo_epochs, 0u);
+    const auto total = ctx.total_stats();
+    EXPECT_LE(total.seconds, wall_s);
+    EXPECT_GE(total.halo_seconds, static_cast<double>(plan->halo_epochs) * kDelay);
+    EXPECT_LE(plan->halo_seconds, plan->seconds);
+  }, opts);
+}
+
 // --- hydra RK stage chain ----------------------------------------------------
 
 TEST(ChainHydra, RkStageChainBitIdenticalAcrossLayouts) {
@@ -402,137 +468,6 @@ TEST(ChainHydra, RkStageChainBitIdenticalAcrossLayouts) {
   EXPECT_TRUE(bit_equal(base, run(op2::Layout::SoA, 4, true)));
   EXPECT_TRUE(bit_equal(base, run(op2::Layout::AoSoA, 4, true)));
   EXPECT_TRUE(bit_equal(base, run(op2::Layout::AoSoA, 8, true)));
-}
-
-// --- SIMT emulation ----------------------------------------------------------
-
-TEST(Simt, PartialWarpPredicationAndBitIdentity) {
-  const index_t n = 100;  // 3 full warps + one 4-lane partial warp
-  const auto run = [&](bool simt) {
-    op2::Config cfg;
-    cfg.simt = simt;
-    op2::Context ctx(cfg);
-    auto& nodes = ctx.decl_set("nodes", n);
-    auto& a = ctx.decl_dat<double>(nodes, 2, "a");
-    auto& b = ctx.decl_dat<double>(nodes, 1, "b");
-    op2::par_loop("stamp", nodes,
-                  [](double* av, const op2::gindex_t* gid) {
-                    const auto g = static_cast<double>(*gid);
-                    av[0] = std::sin(0.1 * g) + g;
-                    av[1] = std::cos(0.1 * g);
-                  },
-                  op2::write(a), op2::arg_idx());
-    op2::par_loop("fold", nodes,
-                  [](const double* av, double* bv) { *bv = av[0] * av[1] + 0.5; },
-                  op2::read(a), op2::write(b));
-    return ctx.fetch_global(b);
-  };
-
-  const auto scalar = run(false);
-  op2::simt::reset();
-  const auto lanes = run(true);
-  EXPECT_TRUE(bit_equal(scalar, lanes));  // lane-serial ascending order
-
-  const auto s = op2::simt::stats();
-  // Two loops over 100 elements: 4 warps each, the tail warp predicated
-  // down to 100 - 3*32 = 4 active lanes.
-  EXPECT_EQ(s.warps, 8u);
-  EXPECT_EQ(s.full_warps, 6u);
-  EXPECT_EQ(s.partial_warps, 2u);
-  EXPECT_EQ(s.lanes, 200u);
-}
-
-TEST(Simt, DivergenceCountersExactAndMonotone) {
-  const index_t n = 96;  // 3 exact warps
-  std::vector<double> vals(static_cast<std::size_t>(n), 0.0);
-  for (index_t i = 0; i < 32; ++i) vals[static_cast<std::size_t>(i)] = 1.0;  // warp 0: all taken
-  for (index_t i = 32; i < 64; ++i) {
-    vals[static_cast<std::size_t>(i)] = (i % 2 == 0) ? 1.0 : 0.0;  // warp 1: split
-  }
-  // warp 2: none taken.
-
-  op2::Config cfg;
-  cfg.simt = true;
-  op2::Context ctx(cfg);
-  auto& nodes = ctx.decl_set("nodes", n);
-  auto& v = ctx.decl_dat<double>(nodes, 1, "v", vals);
-  auto& out = ctx.decl_dat<double>(nodes, 1, "out");
-
-  op2::simt::reset();
-  const auto body = [](const double* vv, double* ov) {
-    if (op2::simt::branch(*vv > 0.5)) {
-      *ov = 1.0;
-    } else {
-      *ov = 2.0;
-    }
-  };
-  op2::par_loop("branchy", nodes, body, op2::read(v), op2::write(out));
-
-  auto s = op2::simt::stats();
-  EXPECT_EQ(s.warps, 3u);
-  EXPECT_EQ(s.full_warps, 3u);
-  EXPECT_EQ(s.branch_slots, 3u);       // one vote site per warp
-  EXPECT_EQ(s.divergent_branches, 1u); // only the split warp diverges
-  EXPECT_EQ(s.convergent_branches, 2u);
-
-  // Results are the plain scalar semantics.
-  for (index_t i = 0; i < n; ++i) {
-    EXPECT_DOUBLE_EQ(out.elem(i)[0],
-                     vals[static_cast<std::size_t>(i)] > 0.5 ? 1.0 : 2.0);
-  }
-
-  // Counters are monotone and exact across invocations: a second identical
-  // pass doubles every count.
-  op2::par_loop("branchy", nodes, body, op2::read(v), op2::write(out));
-  s = op2::simt::stats();
-  EXPECT_EQ(s.warps, 6u);
-  EXPECT_EQ(s.branch_slots, 6u);
-  EXPECT_EQ(s.divergent_branches, 2u);
-  EXPECT_EQ(s.convergent_branches, 4u);
-}
-
-TEST(Simt, ChainedSimtMatchesScalarChain) {
-  // SIMT marching applies inside fused chain tiles too; results stay
-  // bit-identical and divergence counters flow through the chain executor.
-  const auto mesh = test::make_grid(9, 7);
-  const auto run = [&](bool simt) {
-    op2::Config cfg;
-    cfg.simt = simt;
-    cfg.chain_tile = 16;
-    op2::Context ctx(cfg);
-    auto& nodes = ctx.decl_set("nodes", mesh.nnode);
-    auto& edges = ctx.decl_set("edges", mesh.nedge);
-    auto& e2n = ctx.decl_map("e2n", edges, nodes, 2, mesh.edge2node);
-    auto& x = ctx.decl_dat<double>(nodes, 1, "x");
-    auto& r = ctx.decl_dat<double>(nodes, 1, "r");
-    op2::LoopChain chain(ctx, "simt_chain");
-    chain.add("stamp", nodes,
-              [](double* xv, const op2::gindex_t* gid) {
-                *xv = 0.01 * static_cast<double>(*gid * *gid % 97);
-              },
-              op2::write(x), op2::arg_idx());
-    chain.add("zero", nodes, [](double* rv) { *rv = 0.0; }, op2::write(r));
-    chain.add("flux", edges,
-              [](const double* xa, const double* xb, double* ra, double* rb) {
-                if (op2::simt::branch(*xa > *xb)) {
-                  *ra += *xa - *xb;
-                } else {
-                  *rb += *xb - *xa;
-                }
-              },
-              op2::read(x, e2n, 0), op2::read(x, e2n, 1), op2::inc(r, e2n, 0),
-              op2::inc(r, e2n, 1));
-    chain.execute();
-    return ctx.fetch_global(r);
-  };
-  const auto scalar = run(false);
-  op2::simt::reset();
-  const auto lanes = run(true);
-  EXPECT_TRUE(bit_equal(scalar, lanes));
-  const auto s = op2::simt::stats();
-  EXPECT_GT(s.warps, 0u);
-  EXPECT_GT(s.branch_slots, 0u);
-  EXPECT_GT(s.divergent_branches + s.convergent_branches, 0u);
 }
 
 }  // namespace

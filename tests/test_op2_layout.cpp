@@ -164,22 +164,25 @@ TEST_P(LayoutEqualsAoS, SerialBitIdentical) {
   expect_bit_identical(got, ref, spec_name(c.spec));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, LayoutEqualsAoS,
-    testing::Values(
-        LayoutCase{{Layout::SoA, 1}},
-        LayoutCase{{Layout::AoSoA, 4}},
-        LayoutCase{{Layout::AoSoA, 8}},
-        // Threaded-colored execution (chunked staging over colored spans).
-        LayoutCase{{Layout::SoA, 1}, 1, true},
-        LayoutCase{{Layout::AoSoA, 4}, 1, true},
-        LayoutCase{{Layout::SoA, 1}, 2, true},
-        LayoutCase{{Layout::AoSoA, 8}, 2, true},
-        // Post-renumber states (RCM permutation through the layout).
-        LayoutCase{{Layout::SoA, 1}, 1, false, true},
-        LayoutCase{{Layout::AoSoA, 4}, 1, false, true},
-        LayoutCase{{Layout::AoSoA, 8}, 2, true, true}),
-    case_name);
+// Cases live in static storage so their padding bytes are zero: gtest
+// names each case with a byte dump of the param, and stack temporaries
+// would leak indeterminate padding into the test names.
+constexpr LayoutCase kLayoutCases[] = {
+    LayoutCase{{Layout::SoA, 1}},
+    LayoutCase{{Layout::AoSoA, 4}},
+    LayoutCase{{Layout::AoSoA, 8}},
+    // Threaded-colored execution (chunked staging over colored spans).
+    LayoutCase{{Layout::SoA, 1}, 1, true},
+    LayoutCase{{Layout::AoSoA, 4}, 1, true},
+    LayoutCase{{Layout::SoA, 1}, 2, true},
+    LayoutCase{{Layout::AoSoA, 8}, 2, true},
+    // Post-renumber states (RCM permutation through the layout).
+    LayoutCase{{Layout::SoA, 1}, 1, false, true},
+    LayoutCase{{Layout::AoSoA, 4}, 1, false, true},
+    LayoutCase{{Layout::AoSoA, 8}, 2, true, true},
+};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, LayoutEqualsAoS, testing::ValuesIn(kLayoutCases), case_name);
 
 struct DistLayoutCase {
   LayoutSpec spec;
@@ -233,18 +236,20 @@ TEST_P(DistLayoutEqualsAoS, DistributedBitIdentical) {
   });
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, DistLayoutEqualsAoS,
-    testing::Values(
-        DistLayoutCase{{Layout::SoA, 1}, 3, false, false},
-        DistLayoutCase{{Layout::AoSoA, 4}, 3, false, false},
-        DistLayoutCase{{Layout::AoSoA, 8}, 4, false, false},
-        DistLayoutCase{{Layout::SoA, 1}, 4, true, false},
-        DistLayoutCase{{Layout::SoA, 1}, 4, false, true},
-        DistLayoutCase{{Layout::AoSoA, 4}, 4, true, true},
-        DistLayoutCase{{Layout::SoA, 1}, 3, true, true, 2},
-        DistLayoutCase{{Layout::AoSoA, 8}, 2, true, true, 2}),
-    dist_case_name);
+// Static storage for zero padding bytes, as for kLayoutCases.
+constexpr DistLayoutCase kDistLayoutCases[] = {
+    DistLayoutCase{{Layout::SoA, 1}, 3, false, false},
+    DistLayoutCase{{Layout::AoSoA, 4}, 3, false, false},
+    DistLayoutCase{{Layout::AoSoA, 8}, 4, false, false},
+    DistLayoutCase{{Layout::SoA, 1}, 4, true, false},
+    DistLayoutCase{{Layout::SoA, 1}, 4, false, true},
+    DistLayoutCase{{Layout::AoSoA, 4}, 4, true, true},
+    DistLayoutCase{{Layout::SoA, 1}, 3, true, true, 2},
+    DistLayoutCase{{Layout::AoSoA, 8}, 2, true, true, 2},
+};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, DistLayoutEqualsAoS, testing::ValuesIn(kDistLayoutCases),
+                         dist_case_name);
 
 TEST(Op2Layout, HaloSlotsOwnerConsistentUnderEveryLayout) {
   // After an exchange, every halo slot must equal the owner's value — read
