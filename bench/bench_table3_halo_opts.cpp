@@ -9,13 +9,10 @@
 // Layer 2 (model): projected per-step runtimes at the paper's ARCHER2 and
 // Cirrus configurations next to the published Table III values.
 //
-// Zero-copy transport layer (ISSUE 10): halo-exchange A/B of the pooled
-// send_owned/recv_owned path against the legacy copying path, the
-// steady-state allocation gate, and the coupled-rig bit-identity matrix.
-// Results land in BENCH_halo.json; floor violations fail the exit status
-// (--quick shrinks sizes for the CI gate without relaxing the floors).
-#include <cstring>
-
+// Halo transport layer: timings of the pooled send_owned/recv_owned halo
+// exchange in a bandwidth and a latency regime, and the steady-state
+// allocation gate. Results land in BENCH_halo.json; gate violations fail
+// the exit status (--quick shrinks sizes without relaxing the gates).
 #include "bench/bench_common.hpp"
 #include "src/hydra/solver.hpp"
 #include "src/jm76/coupled.hpp"
@@ -67,7 +64,7 @@ HaloMeasurement run_row(bool partial, bool grouped, int nranks, int steps) {
   return out;
 }
 
-/// One timed zero-copy A/B run: a two-loop epoch (direct write, then an
+/// One timed halo transport run: a two-loop epoch (direct write, then an
 /// indirect read through a half-shift map) over `ncell` elements whose halo
 /// is half the mesh — every epoch moves ncell/2 * ncomp doubles per rank
 /// each way, so the exchange dominates and the regime is set by
@@ -81,13 +78,10 @@ struct ZcRun {
   std::uint64_t copies_avoided = 0; ///< send_owned moves delta (world pool)
 };
 
-ZcRun run_zc_micro(bool zero_copy, int nranks, op2::index_t ncell, int ncomp, int warm,
-                   int epochs) {
+ZcRun run_zc_micro(int nranks, op2::index_t ncell, int ncomp, int warm, int epochs) {
   ZcRun out;
   minimpi::World::run(nranks, [&](minimpi::Comm& comm) {
-    op2::Config cfg;
-    cfg.zero_copy_transport = zero_copy;
-    op2::Context ctx(comm, cfg);
+    op2::Context ctx(comm);
     auto& cells = ctx.decl_set("cells", ncell);
     std::vector<double> centers(static_cast<std::size_t>(ncell) * 3, 0.0);
     for (op2::index_t i = 0; i < ncell; ++i) {
@@ -130,34 +124,6 @@ ZcRun run_zc_micro(bool zero_copy, int nranks, op2::index_t ncell, int ncomp, in
       out.bytes = bytes;
       out.slab_allocs = pool1.slab_allocs - pool0.slab_allocs;
       out.copies_avoided = pool1.copies_avoided - pool0.copies_avoided;
-    }
-  });
-  return out;
-}
-
-/// Coupled two-row rig for `steps` steps; returns the row-1 global flow
-/// state (captured on the row's rank 0; fetch_global is row-collective).
-std::vector<double> run_coupled_state(bool zero_copy, const std::vector<int>& hs_ranks,
-                                      op2::Layout layout) {
-  jm76::CoupledConfig cfg;
-  cfg.rig = rig::rig250_spec(2);
-  cfg.res = rig::resolution_tier("tiny");
-  cfg.flow.inner_iters = 2;
-  cfg.flow.dt_phys = 5e-5;
-  cfg.flow.rotor_swirl_frac = 0.05;
-  cfg.flow.stator_swirl_frac = 0.02;
-  cfg.hs_ranks = hs_ranks;
-  cfg.cus_per_interface = 1;
-  cfg.pipelined = false;
-  cfg.op2cfg.zero_copy_transport = zero_copy;
-  cfg.op2cfg.default_layout = layout;
-  std::vector<double> out;
-  minimpi::World::run(cfg.layout().world_size(), [&](minimpi::Comm& world) {
-    jm76::CoupledRig rigrun(world, cfg);
-    rigrun.run(3);
-    if (rigrun.solver() != nullptr) {
-      auto g = rigrun.solver()->context().fetch_global(rigrun.solver()->q());
-      if (rigrun.role().row == 1 && rigrun.role().rank_in_row == 0) out = std::move(g);
     }
   });
   return out;
@@ -283,7 +249,7 @@ int main(int argc, char** argv) {
   util::write_csv(gg, "table3_measured_gg.csv");
 
   // -------------------------------------------------------------------------
-  // Zero-copy transport: A/B, steady-state allocation gate, bit-identity.
+  // Halo transport: regime timings and the steady-state allocation gate.
   int gate_failures = 0;
   auto gate = [&](bool ok, const std::string& what) {
     if (!ok) {
@@ -292,7 +258,7 @@ int main(int argc, char** argv) {
     }
   };
 
-  bench::section("measured: zero-copy transport A/B — halo exchange regimes");
+  bench::section("measured: halo transport — exchange regimes");
   const int bw_cells = quick ? 12000 : 40000;
   const int bw_comp = 64;
   const int bw_epochs = quick ? 6 : 10;
@@ -301,72 +267,38 @@ int main(int argc, char** argv) {
   const int lat_epochs = quick ? 40 : 100;
   const int trials = quick ? 2 : 3;
 
-  // Best-of-N wall time per mode; the meters are gated on every trial.
-  double bw_legacy = 1e30, bw_zc = 1e30, lat_legacy = 1e30, lat_zc = 1e30;
-  ZcRun bw_zc_run, bw_legacy_run;
+  // Best-of-N wall time per regime; the meters are gated on every trial.
+  double bw_s = 1e30, lat_s = 1e30;
+  ZcRun bw_run;
   for (int r = 0; r < trials; ++r) {
-    const auto a = run_zc_micro(false, 2, bw_cells, bw_comp, 3, bw_epochs);
-    const auto b = run_zc_micro(true, 2, bw_cells, bw_comp, 3, bw_epochs);
-    if (a.seconds < bw_legacy) { bw_legacy = a.seconds; bw_legacy_run = a; }
-    if (b.seconds < bw_zc) { bw_zc = b.seconds; bw_zc_run = b; }
-    // Deterministic per-site meter: zero growth after warm-up, both modes.
-    gate(a.site_allocs == 0, "legacy steady-state pack-buffer growth != 0");
-    gate(b.site_allocs == 0, "zero-copy steady-state buffer growth != 0");
+    const auto b = run_zc_micro(2, bw_cells, bw_comp, 3, bw_epochs);
+    if (b.seconds < bw_s) { bw_s = b.seconds; bw_run = b; }
+    // Deterministic per-site meter: zero growth after warm-up.
+    gate(b.site_allocs == 0, "steady-state send-site growth != 0");
     // Every steady-state message moved its payload (no copies on the
     // clean path); pool growth, if any, is transient warm-up — never
     // per-message.
-    gate(b.copies_avoided == b.msgs, "zero-copy mode copied a payload");
+    gate(b.copies_avoided == b.msgs, "a steady-state message copied its payload");
     gate(b.slab_allocs * 4 <= b.msgs, "pool allocating per message");
-    lat_legacy = std::min(lat_legacy, run_zc_micro(false, 2, lat_cells, lat_comp, 3, lat_epochs).seconds);
-    lat_zc = std::min(lat_zc, run_zc_micro(true, 2, lat_cells, lat_comp, 3, lat_epochs).seconds);
+    lat_s = std::min(lat_s, run_zc_micro(2, lat_cells, lat_comp, 3, lat_epochs).seconds);
   }
-  const double bw_speedup = bw_legacy / bw_zc;
-  const double lat_speedup = lat_legacy / lat_zc;
-  util::Table zc({"regime", "payload/epoch", "legacy s", "zero-copy s", "speedup"});
+  util::Table zc({"regime", "payload/epoch", "epochs", "seconds"});
   zc.add_row({"bandwidth", util::fmt("{} MB", bw_cells / 2 * bw_comp * 8 / 1000000),
-              util::Table::num(bw_legacy, 4), util::Table::num(bw_zc, 4),
-              util::Table::num(bw_speedup, 3)});
+              std::to_string(bw_epochs), util::Table::num(bw_s, 4)});
   zc.add_row({"latency", util::fmt("{} KB", lat_cells / 2 * lat_comp * 8 / 1000),
-              util::Table::num(lat_legacy, 4), util::Table::num(lat_zc, 4),
-              util::Table::num(lat_speedup, 3)});
+              std::to_string(lat_epochs), util::Table::num(lat_s, 4)});
   zc.print_text(std::cout);
   std::cout << util::fmt(
-      "steady state (zero-copy, {} msgs): site allocs {}, pool slab allocs {}, "
-      "payload moves {}\n",
-      bw_zc_run.msgs, bw_zc_run.site_allocs, bw_zc_run.slab_allocs,
-      bw_zc_run.copies_avoided);
-  // Floor: the bandwidth regime is where removing the send-side copy pays;
-  // the latency regime is reported but not gated (per-message overhead is
-  // mailbox bookkeeping, not payload motion).
-  gate(bw_speedup >= 1.25,
-       util::fmt("bandwidth-regime speedup {} < 1.25 floor", util::Table::num(bw_speedup, 3)));
-
-  bench::section("measured: coupled-rig bit-identity (transport on vs off)");
-  util::Table bits({"hs ranks/row", "layout", "identical"});
-  bool all_identical = true;
-  for (const int rr : {1, 2, 3}) {
-    for (const op2::Layout lay : {op2::Layout::AoS, op2::Layout::SoA, op2::Layout::AoSoA}) {
-      const auto on = run_coupled_state(true, {rr, rr}, lay);
-      const auto off = run_coupled_state(false, {rr, rr}, lay);
-      const bool same = on.size() == off.size() && !on.empty() &&
-                        std::memcmp(on.data(), off.data(), on.size() * sizeof(double)) == 0;
-      all_identical = all_identical && same;
-      bits.add_row({std::to_string(rr), op2::layout_name(lay), same ? "yes" : "NO"});
-    }
-  }
-  bits.print_text(std::cout);
-  gate(all_identical, "coupled-rig state differs between transport on/off");
+      "steady state ({} msgs): site allocs {}, pool slab allocs {}, payload moves {}\n",
+      bw_run.msgs, bw_run.site_allocs, bw_run.slab_allocs, bw_run.copies_avoided);
 
   bench::write_bench_json(
-      "halo", {{"bw_speedup", bw_speedup},
-               {"bw_legacy_seconds", bw_legacy},
-               {"bw_zero_copy_seconds", bw_zc},
-               {"lat_speedup", lat_speedup},
-               {"steady_site_allocs", static_cast<double>(bw_zc_run.site_allocs)},
-               {"steady_slab_allocs", static_cast<double>(bw_zc_run.slab_allocs)},
-               {"steady_msgs", static_cast<double>(bw_zc_run.msgs)},
-               {"steady_copies_avoided", static_cast<double>(bw_zc_run.copies_avoided)},
-               {"bit_identical", all_identical ? 1.0 : 0.0},
+      "halo", {{"bw_seconds", bw_s},
+               {"lat_seconds", lat_s},
+               {"steady_site_allocs", static_cast<double>(bw_run.site_allocs)},
+               {"steady_slab_allocs", static_cast<double>(bw_run.slab_allocs)},
+               {"steady_msgs", static_cast<double>(bw_run.msgs)},
+               {"steady_copies_avoided", static_cast<double>(bw_run.copies_avoided)},
                {"gate_failures", static_cast<double>(gate_failures)}});
 
   // Model layer: communication cost (halo + coupler transfer) per step at

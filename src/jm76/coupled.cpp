@@ -30,30 +30,18 @@ int tag_donor(int iface, int dir, int component) {
 int tag_ghost(int iface, int dir) { return 9000 + iface * 2 + dir; }
 
 /// Packs the (count, gids, payload) wire format the staged-donor and ghost
-/// messages share into a pooled buffer and ships it zero-copy — or, with the
-/// transport disabled, into a plain vector plus send_bytes' payload copy.
+/// messages share into a pooled buffer and ships it zero-copy.
 void send_packed(minimpi::Comm& world, int dst, int tag, std::span<const gindex_t> gids,
-                 std::span<const double> payload, bool zero_copy) {
-  const std::size_t need =
-      sizeof(std::uint64_t) + gids.size_bytes() + payload.size_bytes();
+                 std::span<const double> payload) {
   const std::uint64_t n = gids.size();
-  const auto pack = [&](std::byte* out) {
-    std::size_t off = 0;
-    std::memcpy(out + off, &n, sizeof(n));
-    off += sizeof(n);
-    std::memcpy(out + off, gids.data(), gids.size_bytes());
-    off += gids.size_bytes();
-    std::memcpy(out + off, payload.data(), payload.size_bytes());
-  };
-  if (zero_copy) {
-    minimpi::Buffer buf = world.lease(need);
-    pack(buf.data());
-    world.send_owned(std::move(buf), dst, tag);
-    return;
+  minimpi::Buffer buf = world.lease(sizeof(n) + gids.size_bytes() + payload.size_bytes());
+  std::byte* out = buf.data();
+  std::memcpy(out, &n, sizeof(n));
+  if (n > 0) {  // an empty span's data() may be null, which memcpy forbids
+    std::memcpy(out + sizeof(n), gids.data(), gids.size_bytes());
+    std::memcpy(out + sizeof(n) + gids.size_bytes(), payload.data(), payload.size_bytes());
   }
-  std::vector<std::byte> buf(need);
-  pack(buf.data());
-  world.send_bytes(buf, dst, tag);
+  world.send_owned(std::move(buf), dst, tag);
 }
 
 /// Inverse of send_packed: receives the slab (owned — it recycles on return)
@@ -62,14 +50,13 @@ void recv_packed(minimpi::Comm& world, int src, int tag, std::vector<gindex_t>* 
                  std::vector<double>* payload) {
   const minimpi::Buffer buf = world.recv_owned(src, tag);
   std::uint64_t n = 0;
-  std::size_t off = 0;
-  std::memcpy(&n, buf.data() + off, sizeof(n));
-  off += sizeof(n);
+  std::memcpy(&n, buf.data(), sizeof(n));
   gids->resize(n);
-  std::memcpy(gids->data(), buf.data() + off, n * sizeof(gindex_t));
-  off += n * sizeof(gindex_t);
   payload->resize(n * static_cast<std::size_t>(kPayload));
-  std::memcpy(payload->data(), buf.data() + off, payload->size() * sizeof(double));
+  if (n == 0) return;  // empty vectors' data() may be null
+  const std::byte* in = buf.data() + sizeof(n);
+  std::memcpy(gids->data(), in, n * sizeof(gindex_t));
+  std::memcpy(payload->data(), in + n * sizeof(gindex_t), payload->size() * sizeof(double));
 }
 
 /// Donor payload send: staged (GG on) packs gids+values into one message;
@@ -77,9 +64,9 @@ void recv_packed(minimpi::Comm& world, int src, int tag, std::vector<gindex_t>* 
 /// modelling the per-dat device-to-host copies GG eliminates (Table III).
 void send_donor(minimpi::Comm& world, int dst, int iface, int dir,
                 std::span<const gindex_t> gids, std::span<const double> payload,
-                bool staged, bool zero_copy) {
+                bool staged) {
   if (staged) {
-    send_packed(world, dst, tag_donor(iface, dir, 0), gids, payload, zero_copy);
+    send_packed(world, dst, tag_donor(iface, dir, 0), gids, payload);
     return;
   }
   world.send(gids, dst, tag_donor(iface, dir, 0));
@@ -109,13 +96,6 @@ void recv_donor(minimpi::Comm& world, int src, int iface, int dir,
   }
 }
 
-/// Ghost return message: gids + interpolated payload in one packed buffer.
-void send_ghost(minimpi::Comm& world, int dst, int iface, int dir,
-                std::span<const gindex_t> gids, std::span<const double> payload,
-                bool zero_copy) {
-  send_packed(world, dst, tag_ghost(iface, dir), gids, payload, zero_copy);
-}
-
 /// Runs one transfer (send or receive), converting the structured minimpi
 /// failures into a TransferError naming the coupling endpoint. WorldAborted
 /// is left alone: it means the world died, not that this transfer failed.
@@ -132,6 +112,12 @@ decltype(auto) guarded_transfer(const char* role, int iface, int dir, int peer, 
                                   role, iface, dir, peer, e.what()),
                         role, iface, dir, peer);
   }
+}
+
+/// Ghost return message: gids + interpolated payload in one packed buffer.
+void send_ghost(minimpi::Comm& world, int dst, int iface, int dir,
+                std::span<const gindex_t> gids, std::span<const double> payload) {
+  send_packed(world, dst, tag_ghost(iface, dir), gids, payload);
 }
 
 void recv_ghost(minimpi::Comm& world, int src, int iface, int dir,
@@ -289,8 +275,7 @@ void CoupledRig::run_hs(int nsteps, int inner, const StepFn& on_step) {
       for (int u = 0; u < K; ++u) {
         const int cu = layout_.cu_world_rank(row, u);
         guarded_transfer("HS", row, 0, cu, [&] {
-          send_donor(world_, cu, row, 0, gids, payload, cfg_.staged_gather,
-                     cfg_.op2cfg.zero_copy_transport);
+          send_donor(world_, cu, row, 0, gids, payload, cfg_.staged_gather);
         });
       }
     }
@@ -299,8 +284,7 @@ void CoupledRig::run_hs(int nsteps, int inner, const StepFn& on_step) {
       for (int u = 0; u < K; ++u) {
         const int cu = layout_.cu_world_rank(row - 1, u);
         guarded_transfer("HS", row - 1, 1, cu, [&] {
-          send_donor(world_, cu, row - 1, 1, gids, payload, cfg_.staged_gather,
-                     cfg_.op2cfg.zero_copy_transport);
+          send_donor(world_, cu, row - 1, 1, gids, payload, cfg_.staged_gather);
         });
       }
     }
@@ -518,8 +502,7 @@ void CoupledRig::run_cu(int nsteps) {
             dst[3] = sr * my + cr * mz;
           }
           guarded_transfer("CU", iface, d, dir.tgt_ranks[h], [&] {
-            send_ghost(world_, dir.tgt_ranks[h], iface, d, tgids, payload,
-                       cfg_.op2cfg.zero_copy_transport);
+            send_ghost(world_, dir.tgt_ranks[h], iface, d, tgids, payload);
           });
         }
       }

@@ -112,7 +112,7 @@ Message Mailbox::pop(int src, int tag, double* wait_seconds) {
   util::Timer waited;
   cv_.wait(lock, [&] {
     // Poison wins even over a queued match: an aborted world's data must not
-    // be consumed (in-flight Requests observe the abort deterministically).
+    // be consumed (a receiver observes the abort deterministically).
     if (poisoned_) return true;
     flush_deferred_locked();
     matched = match_locked(src, tag, &msg);
@@ -347,36 +347,6 @@ bool Comm::try_recv_bytes(int src, int tag, std::vector<std::byte>* out, int* ac
   if (actual_src) *actual_src = msg.src;
   *out = std::move(msg.payload).release();
   return true;
-}
-
-Comm::Request Comm::isend_bytes(std::span<const std::byte> data, int dst, int tag) {
-  send_bytes(data, dst, tag);  // buffered send: completes immediately
-  Request req;
-  req.comm_ = *this;
-  req.done_ = true;
-  return req;
-}
-
-Comm::Request Comm::irecv_bytes(int src, int tag) {
-  Request req;
-  req.comm_ = *this;
-  req.is_recv_ = true;
-  req.src_ = src;
-  req.tag_ = tag;
-  return req;
-}
-
-std::vector<std::byte> Comm::Request::wait() {
-  // A poisoned world invalidates in-flight requests — even already-buffered
-  // ones — so wait() never blocks forever and never hands out data from an
-  // aborted computation.
-  if (comm_.valid() && comm_.aborted()) {
-    throw WorldAborted("minimpi: world aborted before Request::wait completed");
-  }
-  if (done_) return std::move(payload_);
-  done_ = true;
-  if (is_recv_) payload_ = comm_.recv_bytes(src_, tag_, &completed_src_);
-  return std::move(payload_);
 }
 
 void Comm::barrier() {

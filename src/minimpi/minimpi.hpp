@@ -37,7 +37,8 @@ inline constexpr int kAnySource = -1;
 
 /// Thrown in surviving ranks when a peer rank exits with an exception, so a
 /// failing test does not deadlock the whole world. Once a world is poisoned
-/// every blocked or subsequently issued recv/barrier/Request::wait throws.
+/// every blocked or subsequently issued recv/barrier throws — even when a
+/// matching message is already queued.
 class WorldAborted : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -252,7 +253,7 @@ class Comm {
       throw std::runtime_error("minimpi::recv: payload size not a multiple of element size");
     }
     std::vector<T> out(raw.size() / sizeof(T));
-    std::memcpy(out.data(), raw.data(), raw.size());
+    if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
     return out;
   }
   template <class T>
@@ -275,14 +276,6 @@ class Comm {
     return recv<T>(src, recvtag);
   }
 
-  // --- nonblocking ---------------------------------------------------------
-  // Sends are buffered, so isend completes immediately; irecv defers the
-  // blocking match to wait(). This preserves MPI overlap semantics: messages
-  // queue in the destination mailbox while the receiver computes.
-  class Request;
-  Request isend_bytes(std::span<const std::byte> data, int dst, int tag);
-  Request irecv_bytes(int src, int tag);
-
   // --- collectives ---------------------------------------------------------
   void barrier();
   /// Broadcast: root's buffer replaces everyone's; returns the data. Only
@@ -295,7 +288,7 @@ class Comm {
     if (rank_ == root) raw = std::as_bytes(std::span<const T>(data));
     auto out_raw = bcast_bytes(raw, root);
     std::vector<T> out(out_raw.size() / sizeof(T));
-    std::memcpy(out.data(), out_raw.data(), out_raw.size());
+    if (!out_raw.empty()) std::memcpy(out.data(), out_raw.data(), out_raw.size());
     return out;
   }
   template <class T>
@@ -442,8 +435,8 @@ class Comm {
   void reset_traffic();
 
   /// True once the world this communicator belongs to has been poisoned
-  /// (a rank died or the watchdog fired). Any further recv/barrier/
-  /// Request::wait on it throws WorldAborted.
+  /// (a rank died or the watchdog fired). Any further recv/barrier on it
+  /// throws WorldAborted.
   [[nodiscard]] bool aborted() const;
 
  private:
@@ -467,24 +460,6 @@ class Comm {
 
   std::shared_ptr<detail::CommState> state_;
   int rank_ = -1;
-};
-
-/// In-flight nonblocking operation handle (see Comm::isend_bytes/irecv_bytes).
-class Comm::Request {
- public:
-  /// Completes the operation; for receives, returns the payload.
-  std::vector<std::byte> wait();
-  [[nodiscard]] int source() const { return completed_src_; }
-
- private:
-  friend class Comm;
-  Comm comm_;
-  bool is_recv_ = false;
-  bool done_ = false;
-  int src_ = 0;
-  int tag_ = 0;
-  int completed_src_ = -1;
-  std::vector<std::byte> payload_;
 };
 
 /// Launches an SPMD world of `nranks` rank-threads, each executing `fn` with

@@ -170,8 +170,7 @@ class Context {
   /// against it.
   [[nodiscard]] std::uint64_t layout_epoch() const { return layout_epoch_; }
 
-  /// Times a persistent halo pack buffer grew (capacity allocation). After
-  /// warm-up, steady-state iterations must not grow this (tested).
+  /// Halo send-site payload growth events; flat after warm-up (tested).
   [[nodiscard]] std::uint64_t halo_buffer_allocs() const { return halo_buf_allocs_; }
 
   // --- plan cache (serve front end; DESIGN.md §12) --------------------------
@@ -401,16 +400,16 @@ class Context {
   std::vector<index_t> needed_halo_slots(const LoopPlan& plan, const Set& target,
                                          const std::vector<ArgInfo>& args,
                                          bool include_exec_direct) const;
-  /// The single pack+send site for every halo message (grouped, ungrouped
-  /// and fused chain epochs): gathers `dats` over `idx` — concatenated in
-  /// AoS order — and ships the message to `peer`. Zero-copy mode leases a
-  /// pooled buffer and moves it (send_owned); legacy mode reuses the
-  /// persistent per-neighbor pack buffer and pays send_bytes' copy. Growth
-  /// (fresh slab / capacity bump) is metered into halo_buf_allocs_.
-  void halo_pack_send(PlanSetComm& sc, std::size_t nbrs, std::size_t i,
-                      const std::vector<index_t>& idx,
-                      const std::vector<DatBase*>& dats, int peer, int tag,
-                      const Set& s);
+  /// The single pack+send and receive+unpack sites of every halo message
+  /// (grouped, ungrouped, fused chain epochs); both return payload bytes.
+  /// halo_pack_send gathers `dats` over `idx` (AoS order) into a pooled
+  /// buffer, moves it to `peer` and meters growth at neighbor `i` into
+  /// halo_buf_allocs_. halo_recv_unpack checks the full length before it
+  /// scatters; a receive timeout becomes a HaloError naming `s`.
+  std::size_t halo_pack_send(PlanSetComm& sc, std::size_t i, const std::vector<index_t>& idx,
+                             const std::vector<DatBase*>& dats, int peer, int tag, const Set& s);
+  std::size_t halo_recv_unpack(int from, int tag, const std::vector<DatBase*>& dats,
+                               const std::vector<index_t>& slots, const Set& s);
 
   minimpi::Comm comm_;
   Config cfg_;

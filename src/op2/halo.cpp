@@ -10,18 +10,16 @@
 // Every rank runs the identical deterministic computation over the global
 // maps, so import/export orderings agree without negotiation.
 //
-// Exchange (per loop, via minimpi): nonblocking sends posted in
-// exchange_begin, halo-independent "core" elements execute while messages
-// are in flight, exchange_end completes the receives (latency hiding).
+// Exchange (per loop, via minimpi): exchange_begin packs each message into a
+// pooled slab and moves it into the receiver's mailbox (halo_pack_send),
+// halo-independent "core" elements execute while messages are in flight,
+// exchange_end completes the receives (halo_recv_unpack; latency hiding).
 // Optimizations from the paper's §IV-A5:
 //   PH — partial halos: only slots the loop references are exchanged;
 //   GH — grouped halos: all dats for the same neighbor share one message.
 #include <algorithm>
-#include <cstring>
-
 #include <map>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -389,32 +387,6 @@ void Context::build_partial_lists(LoopPlan& plan, const std::vector<ArgInfo>& ar
 
 namespace {
 
-/// Send one halo message, converting transient-fault exhaustion into a
-/// structured HaloError that names the set and peer. WorldAborted passes
-/// through untouched: it is a world-death signal, not a halo failure.
-void halo_send(minimpi::Comm& comm, std::span<const std::byte> buf, int peer, int tag,
-               const Set& s) {
-  try {
-    comm.send_bytes(buf, peer, tag);
-  } catch (const minimpi::TransientSendError& e) {
-    throw HaloError(util::fmt("op2: halo send for set '{}' to rank {} failed: {}", s.name(),
-                              peer, e.what()),
-                    s.name(), peer, /*sending=*/true);
-  }
-}
-
-/// Legacy-mode persistent per-neighbor pack buffer: capacity survives across
-/// exchanges (send_bytes copies, so the buffer is reusable the moment the
-/// call returns). Steady state allocates nothing; `allocs` meters growth.
-std::vector<std::byte>& pack_buf(PlanSetComm& sc, std::size_t nbrs, std::size_t i,
-                                 std::size_t need, std::uint64_t& allocs) {
-  if (sc.send_bufs.size() < nbrs) sc.send_bufs.resize(nbrs);
-  auto& buf = sc.send_bufs[i];
-  if (need > buf.capacity()) ++allocs;
-  buf.resize(need);
-  return buf;
-}
-
 /// Pool counters onto the trace (halo epochs sample them after completing
 /// receives, so counter tracks line up with the halo spans).
 void trace_pool_counters(minimpi::Comm& comm) {
@@ -428,44 +400,60 @@ void trace_pool_counters(minimpi::Comm& comm) {
 
 }  // namespace
 
-void Context::halo_pack_send(PlanSetComm& sc, std::size_t nbrs, std::size_t i,
-                             const std::vector<index_t>& idx,
-                             const std::vector<DatBase*>& dats, int peer, int tag,
-                             const Set& s) {
+std::size_t Context::halo_pack_send(PlanSetComm& sc, std::size_t i,
+                                    const std::vector<index_t>& idx,
+                                    const std::vector<DatBase*>& dats, int peer, int tag,
+                                    const Set& s) {
   std::size_t need = 0;
   for (const DatBase* d : dats) need += idx.size() * d->elem_bytes();
-  if (cfg_.zero_copy_transport) {
-    // Zero-copy: gather straight into a pooled slab and move it into the
-    // receiver's mailbox. The alloc meter counts per-site payload growth —
-    // the deterministic analogue of the legacy capacity bump; pool-level
-    // slab allocations are exposed separately via Comm::pool_stats().
-    if (sc.send_watermark.size() < nbrs) sc.send_watermark.resize(nbrs, 0);
-    if (need > sc.send_watermark[i]) {
-      ++halo_buf_allocs_;
-      sc.send_watermark[i] = need;
-    }
-    minimpi::Buffer buf = comm_.lease(need);
-    std::size_t off = 0;
-    for (DatBase* d : dats) {
-      d->gather_elems(idx, buf.data() + off);
-      off += idx.size() * d->elem_bytes();
-    }
-    try {
-      comm_.send_owned(std::move(buf), peer, tag);
-    } catch (const minimpi::TransientSendError& e) {
-      throw HaloError(util::fmt("op2: halo send for set '{}' to rank {} failed: {}",
-                                s.name(), peer, e.what()),
-                      s.name(), peer, /*sending=*/true);
-    }
-    return;
+  // The alloc meter counts per-site payload growth; pool-level slab
+  // allocations are exposed separately via Comm::pool_stats().
+  if (sc.send_watermark.size() <= i) sc.send_watermark.resize(i + 1, 0);
+  if (need > sc.send_watermark[i]) {
+    ++halo_buf_allocs_;
+    sc.send_watermark[i] = need;
   }
-  auto& buf = pack_buf(sc, nbrs, i, need, halo_buf_allocs_);
+  minimpi::Buffer buf = comm_.lease(need);
   std::size_t off = 0;
   for (DatBase* d : dats) {
     d->gather_elems(idx, buf.data() + off);
     off += idx.size() * d->elem_bytes();
   }
-  halo_send(comm_, buf, peer, tag, s);
+  try {
+    comm_.send_owned(std::move(buf), peer, tag);
+  } catch (const minimpi::TransientSendError& e) {
+    throw HaloError(util::fmt("op2: halo send for set '{}' to rank {} failed: {}", s.name(),
+                              peer, e.what()),
+                    s.name(), peer, /*sending=*/true);
+  }
+  return need;
+}
+
+std::size_t Context::halo_recv_unpack(int from, int tag, const std::vector<DatBase*>& dats,
+                                      const std::vector<index_t>& slots, const Set& s) {
+  minimpi::Buffer buf;
+  try {
+    buf = comm_.recv_owned(from, tag);
+  } catch (const minimpi::RecvTimeout& e) {
+    throw HaloError(util::fmt("op2: halo receive for set '{}' from rank {} timed out: {}",
+                              s.name(), from, e.what()),
+                    s.name(), from, /*sending=*/false);
+  }
+  std::size_t need = 0;
+  for (const DatBase* d : dats) need += slots.size() * d->elem_bytes();
+  if (buf.size() != need) {
+    throw std::logic_error(util::fmt(
+        "op2: halo message for set '{}' from rank {} holds {} bytes, expected {}", s.name(),
+        from, buf.size(), need));
+  }
+  // scatter_elems unpacks straight from the sender's slab, which returns to
+  // the pool when `buf` drops.
+  std::size_t off = 0;
+  for (DatBase* d : dats) {
+    d->scatter_elems(slots, buf.data() + off);
+    off += slots.size() * d->elem_bytes();
+  }
+  return buf.size();
 }
 
 Context::PendingExchange Context::exchange_begin(LoopPlan& plan,
@@ -511,12 +499,9 @@ Context::PendingExchange Context::exchange_begin(LoopPlan& plan,
     if (cfg_.grouped_halos) {
       // One message per neighbor packing every dirty dat. Payloads are
       // packed in AoS order through the dat's layout (gather_elems).
-      std::size_t group_eb = 0;
-      for (const DatBase* d : dirty) group_eb += d->elem_bytes();
       for (std::size_t i = 0; i < nbr_send.size(); ++i) {
-        halo_pack_send(sc, nbr_send.size(), i, send_idx[i], dirty, nbr_send[i],
-                       kTagGroupBase + s.id(), s);
-        plan.halo_bytes += send_idx[i].size() * group_eb;
+        plan.halo_bytes += halo_pack_send(sc, i, send_idx[i], dirty, nbr_send[i],
+                                          kTagGroupBase + s.id(), s);
         ++plan.halo_msgs;
       }
       for (std::size_t i = 0; i < nbr_recv.size(); ++i) {
@@ -526,9 +511,8 @@ Context::PendingExchange Context::exchange_begin(LoopPlan& plan,
       for (DatBase* d : dirty) {
         const std::vector<DatBase*> one{d};
         for (std::size_t i = 0; i < nbr_send.size(); ++i) {
-          halo_pack_send(sc, nbr_send.size(), i, send_idx[i], one, nbr_send[i],
-                         kTagHaloBase + d->id(), s);
-          plan.halo_bytes += send_idx[i].size() * d->elem_bytes();
+          plan.halo_bytes += halo_pack_send(sc, i, send_idx[i], one, nbr_send[i],
+                                            kTagHaloBase + d->id(), s);
           ++plan.halo_msgs;
         }
         for (std::size_t i = 0; i < nbr_recv.size(); ++i) {
@@ -559,29 +543,9 @@ void Context::exchange_end(LoopPlan& plan, PendingExchange& pending) {
   util::Timer t;
   trace::Span tspan("halo:wait");
   std::uint64_t bytes_in = 0;
-  for (auto& recv : pending.recvs) {
-    // Owned receive: scatter_elems unpacks directly from the sender's slab,
-    // which returns to the pool when `buf` drops at the end of the iteration.
-    minimpi::Buffer buf;
-    try {
-      buf = comm_.recv_owned(recv.from, recv.tag);
-    } catch (const minimpi::RecvTimeout& e) {
-      const std::string set = recv.dats.empty() ? "?" : recv.dats.front()->set().name();
-      throw HaloError(util::fmt("op2: halo receive for set '{}' from rank {} timed out: {}",
-                                set, recv.from, e.what()),
-                      set, recv.from, /*sending=*/false);
-    }
-    std::size_t off = 0;
-    bytes_in += buf.size();
-    for (DatBase* d : recv.dats) {
-      const std::size_t eb = d->elem_bytes();
-      const auto& slots = *recv.slots;
-      if (off + slots.size() * eb > buf.size()) {
-        throw std::logic_error("op2: halo message shorter than expected");
-      }
-      d->scatter_elems(slots, buf.data() + off);
-      off += slots.size() * eb;
-    }
+  for (const auto& recv : pending.recvs) {
+    bytes_in += halo_recv_unpack(recv.from, recv.tag, recv.dats, *recv.slots,
+                                 recv.dats.front()->set());
   }
   if (tspan.active()) {
     tspan.arg("bytes", static_cast<double>(bytes_in));
@@ -628,32 +592,13 @@ void Context::chain_exchange(ChainPlan& plan, const ChainSegment& seg) {
           "op2: chain '{}' epoch for set '{}' has no comm state", plan.name, s.name()));
     }
 
-    std::size_t group_eb = 0;
-    for (const DatBase* d : dirty) group_eb += d->elem_bytes();
     for (std::size_t i = 0; i < halo.nbr_send.size(); ++i) {
-      halo_pack_send(*sc, halo.nbr_send.size(), i, halo.send_idx[i], dirty,
-                     halo.nbr_send[i], kTagChainBase + sid, s);
-      plan.halo_bytes += halo.send_idx[i].size() * group_eb;
+      plan.halo_bytes += halo_pack_send(*sc, i, halo.send_idx[i], dirty, halo.nbr_send[i],
+                                        kTagChainBase + sid, s);
       ++plan.halo_msgs;
     }
     for (std::size_t i = 0; i < halo.nbr_recv.size(); ++i) {
-      minimpi::Buffer buf;
-      try {
-        buf = comm_.recv_owned(halo.nbr_recv[i], kTagChainBase + sid);
-      } catch (const minimpi::RecvTimeout& e) {
-        throw HaloError(
-            util::fmt("op2: chain epoch receive for set '{}' from rank {} timed out: {}",
-                      s.name(), halo.nbr_recv[i], e.what()),
-            s.name(), halo.nbr_recv[i], /*sending=*/false);
-      }
-      if (buf.size() < halo.recv_slots[i].size() * group_eb) {
-        throw std::logic_error("op2: chain epoch message shorter than expected");
-      }
-      std::size_t off = 0;
-      for (DatBase* d : dirty) {
-        d->scatter_elems(halo.recv_slots[i], buf.data() + off);
-        off += halo.recv_slots[i].size() * d->elem_bytes();
-      }
+      halo_recv_unpack(halo.nbr_recv[i], kTagChainBase + sid, dirty, halo.recv_slots[i], s);
     }
     for (DatBase* d : dirty) d->mark_halo_clean();
   }

@@ -50,11 +50,7 @@ struct PlanSetComm {
   std::vector<std::vector<index_t>> send_idx;   ///< per neighbor: owned local indices
   std::vector<int> nbr_recv;
   std::vector<std::vector<index_t>> recv_slots; ///< per neighbor: local halo slots
-  /// Persistent per-neighbor pack buffers: exchange_begin reuses these
-  /// across invocations instead of allocating fresh ones (steady-state
-  /// allocation count is zero; Context::halo_buffer_allocs() meters growth).
-  std::vector<std::vector<std::byte>> send_bufs;
-  /// Zero-copy mode: per-neighbor payload high-water marks. The alloc meter
+  /// Per-neighbor payload high-water marks: Context::halo_buffer_allocs()
   /// counts growth events against these rather than pool freelist misses —
   /// whether a lease hits the shared pool's freelist depends on cross-rank
   /// timing (a receiver may still hold last epoch's slab), so freelist
@@ -219,7 +215,7 @@ struct ChainPlan {
 /// divergence localizes a planning bug (wrong partition, wrong halo list)
 /// structurally, before any floating-point value is compared
 /// (vcgt::verify). Excludes everything value- or cache-like: metering,
-/// the layout-epoch/vectorizable cache and pack-buffer capacities.
+/// the layout-epoch/vectorizable cache and send high-water marks.
 [[nodiscard]] std::uint64_t plan_fingerprint(const LoopPlan& plan);
 
 /// Chained-plan overload: folds member structure (set, iteration sizes,

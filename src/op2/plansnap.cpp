@@ -18,8 +18,8 @@
 //    rank hit *and validated* before any rank adopts a plan, because a
 //    mixed hit/miss would dodge the collective plan build on some ranks
 //    only and deadlock the world;
-//  - persistent send buffers (PlanSetComm::send_bufs) and partial-halo
-//    cleanliness (clean_epoch) are never snapshotted: buffers re-grow on
+//  - send high-water marks (PlanSetComm::send_watermark) and partial-halo
+//    cleanliness (clean_epoch) are never snapshotted: marks re-grow on
 //    first exchange (metered as warm-up), cleanliness falls back to the
 //    dat-level epoch exactly like a freshly built plan;
 //  - the vectorizable predicate is invalidated (layout_epoch = 0) so the
@@ -311,8 +311,7 @@ PlanSetComm make_comm(const CommSnap& s, const Registry& reg) {
   c.send_idx = s.send_idx;
   c.nbr_recv = s.nbr_recv;
   c.recv_slots = s.recv_slots;
-  // send_bufs stay empty: they re-grow on the first exchange and the growth
-  // is metered as warm-up (halo_buffer_allocs), same as a cold plan.
+  // send_watermark stays empty: it re-grows as metered warm-up, like a cold plan.
   return c;
 }
 

@@ -161,7 +161,6 @@ Context::Context(minimpi::Comm comm, Config cfg)
       util::warn("op2: ignoring unrecognized VCGT_OP2_LAYOUT '{}'", *env.op2_layout);
     }
   }
-  if (env.op2_zero_copy) cfg_.zero_copy_transport = *env.op2_zero_copy;
   if (env.op2_chain_tile) {
     if (*env.op2_chain_tile > 0) {
       cfg_.chain_tile = *env.op2_chain_tile;
@@ -526,7 +525,7 @@ void Context::reset_stats() {
     plan->halo_epochs = 0;
     plan->elements = 0;
   }
-  // Pack-buffer growth is a warm-up artifact: steady-state metrics taken
+  // Send-site growth is a warm-up artifact: steady-state metrics taken
   // after a reset must report zero further allocations, not the warm-up's.
   halo_buf_allocs_ = 0;
 }

@@ -145,14 +145,6 @@ struct Config {
   /// Tile width (seed-member elements per cross-loop tile) for fused
   /// LoopChain execution. Also settable via VCGT_OP2_CHAIN_TILE.
   int chain_tile = 4096;
-  /// Route halo exchanges through the zero-copy transport: pack directly
-  /// into a pooled minimpi::Buffer and move it into the receiver's mailbox
-  /// (Comm::send_owned), unpack directly from the received slab — zero
-  /// per-message heap allocations and zero payload copies at steady state.
-  /// Off = legacy path (persistent per-neighbor pack buffers + send_bytes'
-  /// payload copy), kept for A/B measurement; both paths are bit-identical.
-  /// Also settable via VCGT_OP2_ZERO_COPY.
-  bool zero_copy_transport = true;
 };
 
 /// Partitioning strategy for distributing the primary set across ranks.

@@ -11,7 +11,7 @@ namespace {
 
 // Wire format version for the spec blob itself (the frame protocol carries
 // its own version; this one guards the spec encoding inside a frame).
-constexpr std::uint16_t kSpecVersion = 4;  // v4: one fewer op2 Config bool
+constexpr std::uint16_t kSpecVersion = 5;  // v5: op2 Config lost the transport toggle
 
 void put_flow(util::ByteWriter& w, const hydra::FlowConfig& f) {
   w.put_f64(f.gamma);
@@ -110,7 +110,6 @@ void put_op2(util::ByteWriter& w, const op2::Config& c) {
   w.put_i32(c.aosoa_block);
   w.put_bool(c.deterministic_reductions);
   w.put_i32(c.chain_tile);
-  w.put_bool(c.zero_copy_transport);
 }
 
 op2::Config get_op2(util::ByteReader& r) {
@@ -125,7 +124,6 @@ op2::Config get_op2(util::ByteReader& r) {
   c.aosoa_block = r.get_i32();
   c.deterministic_reductions = r.get_bool();
   c.chain_tile = r.get_i32();
-  c.zero_copy_transport = r.get_bool();
   return c;
 }
 

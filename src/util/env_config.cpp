@@ -51,13 +51,6 @@ void parse_u64(EnvConfig& cfg, const char* name, std::optional<std::uint64_t>* o
   *out = static_cast<std::uint64_t>(n);
 }
 
-void parse_bool(EnvConfig& cfg, const char* name, std::optional<bool>* out) {
-  const char* v = std::getenv(name);
-  if (!v) return;
-  (void)cfg;
-  *out = v[0] != '\0' && v[0] != '0';
-}
-
 std::string pad(const char* name) {
   std::string s = "  ";
   s += name;
@@ -68,11 +61,7 @@ std::string pad(const char* name) {
 template <class T>
 std::string show(const char* name, const std::optional<T>& v) {
   if (!v) return pad(name) + "(unset)\n";
-  if constexpr (std::is_same_v<T, bool>) {
-    return pad(name) + (*v ? "1" : "0") + "\n";
-  } else {
-    return pad(name) + fmt("{}", *v) + "\n";
-  }
+  return pad(name) + fmt("{}", *v) + "\n";
 }
 
 }  // namespace
@@ -82,7 +71,6 @@ EnvConfig env_config() {
   parse_string(cfg, "VCGT_LOG", &cfg.log_level);
   parse_string(cfg, "VCGT_OP2_LAYOUT", &cfg.op2_layout);
   parse_int(cfg, "VCGT_OP2_CHAIN_TILE", &cfg.op2_chain_tile);
-  parse_bool(cfg, "VCGT_OP2_ZERO_COPY", &cfg.op2_zero_copy);
   parse_double(cfg, "VCGT_RECV_TIMEOUT", &cfg.recv_timeout);
   parse_int(cfg, "VCGT_RECV_RETRIES", &cfg.recv_retries);
   parse_double(cfg, "VCGT_STALL_TIMEOUT", &cfg.stall_timeout);
@@ -100,7 +88,6 @@ std::string EnvConfig::describe() const {
   out += show("VCGT_LOG", log_level);
   out += show("VCGT_OP2_LAYOUT", op2_layout);
   out += show("VCGT_OP2_CHAIN_TILE", op2_chain_tile);
-  out += show("VCGT_OP2_ZERO_COPY", op2_zero_copy);
   out += show("VCGT_RECV_TIMEOUT", recv_timeout);
   out += show("VCGT_RECV_RETRIES", recv_retries);
   out += show("VCGT_STALL_TIMEOUT", stall_timeout);

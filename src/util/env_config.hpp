@@ -25,7 +25,6 @@ struct EnvConfig {
   // --- op2 ----------------------------------------------------------------
   std::optional<std::string> op2_layout;  ///< VCGT_OP2_LAYOUT: aos|soa|aosoa[<W>]
   std::optional<int> op2_chain_tile;      ///< VCGT_OP2_CHAIN_TILE (> 0)
-  std::optional<bool> op2_zero_copy;      ///< VCGT_OP2_ZERO_COPY
 
   // --- minimpi robustness ---------------------------------------------------
   std::optional<double> recv_timeout;   ///< VCGT_RECV_TIMEOUT [s]

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "src/hydra/monitors.hpp"
@@ -14,6 +15,8 @@
 #include "src/jm76/monolithic.hpp"
 #include "src/minimpi/fault.hpp"
 #include "src/minimpi/minimpi.hpp"
+#include "src/op2/op2.hpp"
+#include "tests/testmesh.hpp"
 
 namespace {
 
@@ -268,19 +271,79 @@ TEST(Watchdog, LeavesSlowButProgressingWorldAlone) {
   }, opts);
 }
 
-TEST(Request, WaitThrowsAfterWorldPoisonEvenWithQueuedMessage) {
-  // Regression: in-flight Request objects must be invalidated by poison.
-  // Rank 1 delivers the message and *then* dies; rank 0's irecv has its
-  // payload sitting in the mailbox but wait() must still throw.
+TEST(Poison, RecvThrowsEvenWithQueuedMessage) {
+  // Poison beats a queued matching message: rank 1 delivers the message and
+  // *then* dies; rank 0's payload sits in the mailbox, but a receive issued
+  // after the abort must still throw rather than hand out data from an
+  // aborted computation.
   EXPECT_THROW(World::run(2, [](Comm& c) {
     if (c.rank() == 1) {
       c.send_value(11, 0, 6);
       throw std::logic_error("rank 1 dies after sending");
     }
-    auto req = c.irecv_bytes(1, 6);
     while (!c.aborted()) std::this_thread::yield();
-    EXPECT_THROW((void)req.wait(), WorldAborted);
+    EXPECT_THROW((void)c.recv_value<int>(1, 6), WorldAborted);
   }), std::logic_error);
+}
+
+TEST(HaloError, RecvTimeoutNamesSetAndPeerForLoopAndChain) {
+  // Rank 1 skips a halo-reading step that rank 0 runs; rank 0's bounded
+  // receive must surface a HaloError naming the set and the silent peer,
+  // both from a solo par_loop's exchange and from a LoopChain's fused epoch.
+  const auto mesh = test::make_grid(8, 6);
+  WorldOptions opts;
+  opts.recv_timeout = 0.05;
+  // Healthy receives (set-up collectives, the first step) then tolerate a
+  // 0.2 s scheduling skew between the ranks on a loaded or sanitized host.
+  opts.recv_retries = 3;
+  for (const bool chained : {false, true}) {
+    SCOPED_TRACE(chained ? "LoopChain" : "par_loop");
+    std::optional<op2::HaloError> caught;
+    World::run(2, [&](Comm& comm) {
+      op2::Context ctx(comm);
+      auto& nodes = ctx.decl_set("nodes", mesh.nnode);
+      auto& edges = ctx.decl_set("edges", mesh.nedge);
+      auto& e2n = ctx.decl_map("e2n", edges, nodes, 2, mesh.edge2node);
+      auto& coords = ctx.decl_dat<double>(nodes, 2, "coords", mesh.coords);
+      auto& x = ctx.decl_dat<double>(nodes, 1, "x");
+      auto& res = ctx.decl_dat<double>(nodes, 1, "res");
+      ctx.partition(op2::Partitioner::Rcb, coords);
+      const auto zero_k = [](double* r) { *r = 0.0; };
+      const auto flux_k = [](const double* xa, const double* xb, double* ra, double* rb) {
+        *ra += *xb - *xa;
+        *rb -= *xb - *xa;
+      };
+      // Writing x dirties its halo, so the following read exchanges it.
+      const auto step = [&] {
+        op2::par_loop("touch", nodes, [](double* v) { *v += 1.0; }, op2::rw(x));
+        if (chained) {
+          op2::LoopChain chain(ctx, "flux_chain");
+          chain.add("zero", nodes, zero_k, op2::write(res));
+          chain.add("flux", edges, flux_k, op2::read(x, e2n, 0), op2::read(x, e2n, 1),
+                    op2::inc(res, e2n, 0), op2::inc(res, e2n, 1));
+          chain.execute();
+        } else {
+          op2::par_loop("flux", edges, flux_k, op2::read(x, e2n, 0), op2::read(x, e2n, 1),
+                        op2::inc(res, e2n, 0), op2::inc(res, e2n, 1));
+        }
+      };
+      step();  // both ranks: collective plan build, one clean exchange
+      // The chained case must reach the receive through a fused epoch.
+      if (chained) {
+        EXPECT_EQ(ctx.find_chain("flux_chain")->halo_epochs, 1u);
+      }
+      if (comm.rank() == 1) return;
+      try {
+        step();
+      } catch (const op2::HaloError& e) {
+        caught = e;
+      }
+    }, opts);
+    ASSERT_TRUE(caught.has_value());
+    EXPECT_FALSE(caught->sending);
+    EXPECT_EQ(caught->set, "nodes");
+    EXPECT_EQ(caught->peer, 1);
+  }
 }
 
 TEST(FaultConfig, FromEnvParsesSeedProbabilitiesAndKill) {

@@ -77,19 +77,14 @@ TEST(MiniMpi, FifoPerSourceAndTag) {
   });
 }
 
-TEST(MiniMpi, IsendIrecvOverlap) {
+TEST(MiniMpi, EmptyPayloadRoundTrip) {
+  // Zero-length messages are legal (a rank with nothing to contribute):
+  // the typed wrappers must not touch the null data() of an empty payload.
   World::run(2, [](Comm& c) {
     const int peer = 1 - c.rank();
-    std::vector<int> payload{c.rank(), 42};
-    auto sreq = c.isend_bytes(std::as_bytes(std::span<const int>(payload)), peer, 9);
-    auto rreq = c.irecv_bytes(peer, 9);
-    sreq.wait();
-    const auto raw = rreq.wait();
-    ASSERT_EQ(raw.size(), 2 * sizeof(int));
-    int got[2];
-    std::memcpy(got, raw.data(), sizeof(got));
-    EXPECT_EQ(got[0], peer);
-    EXPECT_EQ(got[1], 42);
+    c.send(std::span<const double>(), peer, 9);
+    EXPECT_TRUE(c.recv<double>(peer, 9).empty());
+    EXPECT_TRUE(c.bcast(std::vector<int>(), 0).empty());
   });
 }
 

@@ -295,9 +295,9 @@ TEST(Op2Layout, HaloSlotsOwnerConsistentUnderEveryLayout) {
 }
 
 TEST(Op2Layout, SteadyStateHaloExchangeAllocatesNothing) {
-  // The persistent per-neighbor pack buffers grow during warm-up only:
-  // after the first exchange round of every plan, further iterations must
-  // not allocate (halo_buffer_allocs() stays flat).
+  // Halo send sites grow their payload during warm-up only: after the
+  // first exchange round of every plan, further iterations must not
+  // allocate (halo_buffer_allocs() stays flat).
   const auto mesh = test::make_grid(12, 10);
   for (const bool grouped : {false, true}) {
     minimpi::World::run(4, [&](minimpi::Comm& comm) {

@@ -108,7 +108,9 @@ def main():
                     help="allowed drop in percentage points (default 1.0)")
     args = ap.parse_args()
 
-    pct = summarize(collect(args.build_dir, repo_root()))
+    # gcov runs with cwd=build_dir, so the .gcda paths handed to it must
+    # not be relative to the caller's directory.
+    pct = summarize(collect(os.path.abspath(args.build_dir), repo_root()))
     for w in WATCHED:
         print(f"{w}: {pct[w]:.2f}% lines covered")
 
