@@ -1,14 +1,20 @@
 // bench_chain — measures what loop-chain fusion (DESIGN.md §10) buys on the
 // hydra RK stage pipeline, the tentpole workload it was built for:
 //
-//  1. Serial fusion speedup: chained vs unchained advance_inner on a mesh
-//     whose per-cell state far exceeds the last-level cache, sweeping the
-//     cross-loop tile width. The chained path revisits each tile's cells
-//     across every member loop while they are still cache-resident instead
-//     of streaming the whole field once per loop.
+// The "unchained" side of every comparison (the *_unchained JSON keys) is
+// the same step chain run with
+// op2::Config::chain_tile = 0, the eager reference: each member executes as
+// its own par_loop, exactly as if issued one by one.
+//
+//  1. Serial fusion speedup: fused vs eager advance_inner on a mesh whose
+//     per-cell state far exceeds the last-level cache, sweeping the
+//     cross-loop tile width (tile 0 is the eager row). The fused path
+//     revisits each tile's cells across every member loop while they are
+//     still cache-resident instead of streaming the whole field once per
+//     loop.
 //  2. Distributed halo accounting (--ranks, default 2): fused chain epochs
 //     pack every dirty dat needed by a segment into one message per
-//     neighbor, vs one message per dat per loop on the unchained path.
+//     neighbor, vs one message per dat per loop on the eager path.
 //     Reports message and epoch counts plus bit-identity of the resulting
 //     flow field. Both paths run with latency hiding off so they fold in
 //     the same flat ascending order (bit-exact comparison; see
@@ -52,14 +58,13 @@ rig::RowSpec bench_row() {
   return row;
 }
 
-hydra::FlowConfig bench_flow(bool chained) {
+hydra::FlowConfig bench_flow() {
   hydra::FlowConfig cfg;
   // Second-order + viscous turns on the gradient/limiter loops, so the RK
-  // stage chain carries the full ~17-member pipeline the solver fuses.
+  // step chain carries the full ~17-member pipeline the solver fuses.
   cfg.second_order = true;
   cfg.viscous = true;
-  cfg.chain_rk = chained;
-  // Applied to chained AND unchained runs (same mesh numbering both sides,
+  // Applied to fused AND eager runs (same mesh numbering both sides,
   // so the comparison stays bit-identical): face-by-cell ordering is what
   // lets cross-loop tiles keep a face member's cells cache-hot.
   cfg.sort_faces = true;
@@ -77,22 +82,23 @@ struct RkRun {
 };
 
 /// One fresh solver on `comm` (or serial), `iters` timed inner iterations
-/// after a one-iteration warmup that builds and caches all plans.
+/// after a one-iteration warmup that builds and caches all plans. `tile` is
+/// op2::Config::chain_tile (0 = eager).
 ///
 /// Distributed callers pass latency_hiding=false: the solo executor's
 /// core/tail overlap folds indirect increments in core-then-tail order
 /// instead of flat ascending order (see the execution-order contract in
-/// src/op2/chain.cpp), so disabling it keeps the chained-vs-unchained
+/// src/op2/chain.cpp), so disabling it keeps the fused-vs-eager
 /// comparison bit-exact at every rank count — and on this harness's
 /// threads-as-ranks transport the "overlap" is only time-sharing anyway.
-RkRun run_rk(const rig::AnnulusMesh& mesh, bool chained, int tile, int iters,
+RkRun run_rk(const rig::AnnulusMesh& mesh, int tile, int iters,
              minimpi::Comm comm = {}, bool latency_hiding = true) {
   op2::Config oc;
   oc.chain_tile = tile;
   oc.latency_hiding = latency_hiding;
   op2::Context ctx(comm, oc);
   const auto row = bench_row();
-  hydra::RowSolver solver(ctx, mesh, row, /*omega=*/0.0, bench_flow(chained));
+  hydra::RowSolver solver(ctx, mesh, row, /*omega=*/0.0, bench_flow());
   ctx.partition(op2::Partitioner::Rcb, solver.cell_center());
   solver.initialize();
   solver.advance_inner(1);  // warmup: plan build + first-touch
@@ -105,7 +111,7 @@ RkRun run_rk(const rig::AnnulusMesh& mesh, bool chained, int tile, int iters,
   out.halo_msgs = total.halo_msgs;
   out.halo_seconds = total.halo_seconds;
   out.halo_bytes = total.halo_bytes;
-  if (const auto* chain = ctx.find_chain(row.name + ":rk_stage")) {
+  if (const auto* chain = ctx.find_chain(row.name + ":step")) {
     out.chain_epochs = chain->halo_epochs;
     out.chain_msgs = chain->halo_msgs;
   }
@@ -140,16 +146,16 @@ int main(int argc, char** argv) {
   metrics.emplace_back("iters", static_cast<double>(iters));
 
   // --- 1. serial fusion speedup, sweeping the cross-loop tile width -------
-  bench::section("serial RK: chained vs unchained (tile sweep)");
-  const RkRun plain = run_rk(mesh, /*chained=*/false, /*tile=*/4096, iters);
-  std::cout << util::fmt("  unchained: {} s\n", util::Table::num(plain.seconds, 3));
+  bench::section("serial RK: fused vs eager (tile sweep, tile 0 = eager)");
+  const RkRun plain = run_rk(mesh, /*tile=*/0, iters);
 
   util::Table sweep({"chain_tile", "seconds", "speedup", "bit-identical"});
+  sweep.add_row({"0", util::Table::num(plain.seconds, 3), util::Table::num(1.0, 2), "-"});
   double best_s = 0.0;
   int best_tile = 0;
   RkRun best;
   for (const int tile : {512, 1024, 2048, 4096, 8192}) {
-    const RkRun r = run_rk(mesh, /*chained=*/true, tile, iters);
+    const RkRun r = run_rk(mesh, tile, iters);
     const double sp = plain.seconds / r.seconds;
     sweep.add_row({std::to_string(tile), util::Table::num(r.seconds, 3),
                util::Table::num(sp, 2), bit_equal(r.q, plain.q) ? "yes" : "NO"});
@@ -169,7 +175,7 @@ int main(int argc, char** argv) {
   metrics.emplace_back("serial_bit_identical", bit_equal(best.q, plain.q) ? 1.0 : 0.0);
 
   // --- 2. distributed RK: fused halo epochs --------------------------------
-  // The headline chain win. Every unchained par_loop with stale indirect
+  // The headline chain win. Every eager par_loop with stale indirect
   // reads opens its own halo epoch — one message per dirty dat per neighbor
   // plus a rendezvous with every neighbor rank — so an RK stage pays tens of
   // exchange latencies. The chained segments prefetch everything a segment
@@ -182,10 +188,8 @@ int main(int argc, char** argv) {
   const int diters = iters;
   RkRun dplain, dchain;
   minimpi::World::run(nranks, [&](minimpi::Comm& comm) {
-    const RkRun p = run_rk(dmesh, /*chained=*/false, best_tile, diters, comm,
-                           /*latency_hiding=*/false);
-    const RkRun c = run_rk(dmesh, /*chained=*/true, best_tile, diters, comm,
-                           /*latency_hiding=*/false);
+    const RkRun p = run_rk(dmesh, /*tile=*/0, diters, comm, /*latency_hiding=*/false);
+    const RkRun c = run_rk(dmesh, best_tile, diters, comm, /*latency_hiding=*/false);
     if (comm.rank() == 0) {
       dplain = p;
       dchain = c;
@@ -193,17 +197,17 @@ int main(int argc, char** argv) {
   });
   const double dist_speedup = dplain.seconds / dchain.seconds;
   util::Table halo({"path", "seconds", "halo s", "halo msgs", "halo MB", "fused epochs"});
-  halo.add_row({"unchained", util::Table::num(dplain.seconds, 3),
+  halo.add_row({"eager", util::Table::num(dplain.seconds, 3),
                 util::Table::num(dplain.halo_seconds, 3),
                 std::to_string(dplain.halo_msgs),
                 util::Table::num(static_cast<double>(dplain.halo_bytes) / 1e6, 2), "-"});
-  halo.add_row({"chained", util::Table::num(dchain.seconds, 3),
+  halo.add_row({"fused", util::Table::num(dchain.seconds, 3),
                 util::Table::num(dchain.halo_seconds, 3),
                 std::to_string(dchain.halo_msgs),
                 util::Table::num(static_cast<double>(dchain.halo_bytes) / 1e6, 2),
                 std::to_string(dchain.chain_epochs)});
   halo.print_text(std::cout);
-  std::cout << util::fmt("  chained speedup {}x; rank-0 field bit-identical: {}\n",
+  std::cout << util::fmt("  fused speedup {}x; rank-0 field bit-identical: {}\n",
                          util::Table::num(dist_speedup, 2),
                          bit_equal(dchain.q, dplain.q) ? "yes" : "NO");
   metrics.emplace_back("dist_seconds_unchained", dplain.seconds);
@@ -245,10 +249,8 @@ int main(int argc, char** argv) {
   minimpi::World::run(
       nranks,
       [&](minimpi::Comm& comm) {
-        const RkRun p = run_rk(lmesh, /*chained=*/false, best_tile, diters, comm,
-                               /*latency_hiding=*/false);
-        const RkRun c = run_rk(lmesh, /*chained=*/true, best_tile, diters, comm,
-                               /*latency_hiding=*/false);
+        const RkRun p = run_rk(lmesh, /*tile=*/0, diters, comm, /*latency_hiding=*/false);
+        const RkRun c = run_rk(lmesh, best_tile, diters, comm, /*latency_hiding=*/false);
         if (comm.rank() == 0) {
           lplain = p;
           lchain = c;
@@ -257,14 +259,14 @@ int main(int argc, char** argv) {
       lopts);
   const double lat_speedup = lplain.seconds / lchain.seconds;
   util::Table lat({"path", "seconds", "halo s", "halo msgs", "fused epochs"});
-  lat.add_row({"unchained", util::Table::num(lplain.seconds, 3),
+  lat.add_row({"eager", util::Table::num(lplain.seconds, 3),
                util::Table::num(lplain.halo_seconds, 3),
                std::to_string(lplain.halo_msgs), "-"});
-  lat.add_row({"chained", util::Table::num(lchain.seconds, 3),
+  lat.add_row({"fused", util::Table::num(lchain.seconds, 3),
                util::Table::num(lchain.halo_seconds, 3),
                std::to_string(lchain.halo_msgs), std::to_string(lchain.chain_epochs)});
   lat.print_text(std::cout);
-  std::cout << util::fmt("  chained speedup {}x; rank-0 field bit-identical: {}\n",
+  std::cout << util::fmt("  fused speedup {}x; rank-0 field bit-identical: {}\n",
                          util::Table::num(lat_speedup, 2),
                          bit_equal(lchain.q, lplain.q) ? "yes" : "NO");
   metrics.emplace_back("lat_seconds_unchained", lplain.seconds);

@@ -32,15 +32,6 @@ struct FlowConfig {
   double cfl_start = 0.0;
   int cfl_ramp_iters = 0;
   int rk_stages = 3;         ///< low-storage RK stage count
-  /// Run each RK stage's loop pipeline (residual assembly + update) through
-  /// a declared op2::LoopChain (DESIGN.md §10): fused halo epochs per
-  /// segment and tile-interleaved execution. Results are bit-identical to
-  /// the unchained per-loop path (tested) whenever that path folds in flat
-  /// ascending order — serial runs, and distributed runs with
-  /// op2::Config::latency_hiding off. Distributed latency hiding reorders
-  /// the solo path's increment folds (core/tail split), so there the two
-  /// paths agree at rounding level only. Disable to fall back.
-  bool chain_rk = true;
   /// Pre-partition face renumbering: sort the interior faces by their
   /// highest-numbered cell, so contiguous face index ranges track contiguous
   /// cell ranges. The row mesh generator orders faces by family
@@ -49,12 +40,13 @@ struct FlowConfig {
   /// planner's aligned tile frontiers so a face tile's cells are still
   /// cache-hot from the producing member's matching tile. Off by default:
   /// it permutes the face set's increment fold order, which changes results
-  /// at rounding level against runs without it. Chained vs unchained under
-  /// the same setting stay bit-identical whenever the unchained path folds
-  /// in flat ascending order (serial, or latency_hiding off — see
-  /// FlowConfig::chain_rk); the family ordering this replaces happens to
-  /// keep even the latency-hiding core/tail split order-compatible, while
-  /// the sorted order does not at >2 ranks.
+  /// at rounding level against runs without it. Fused vs eager step chains
+  /// (op2::Config::chain_tile > 0 vs 0) under the same setting stay
+  /// bit-identical whenever the eager side folds in flat ascending order
+  /// (serial, or latency_hiding off; src/op2/chain.cpp); the family
+  /// ordering this replaces happens to keep even the latency-hiding
+  /// core/tail split order-compatible, while the sorted order does not at
+  /// >2 ranks.
   bool sort_faces = false;
   int inner_iters = 10;      ///< pseudo-time iterations per physical step
   double dt_phys = 2.75e-6;  ///< physical (outer) step [s]; paper Table IV setup

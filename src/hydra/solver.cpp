@@ -32,19 +32,27 @@ const char* group_tag(BoundaryGroup g) {
 
 RowSolver::RowSolver(op2::Context& ctx, const rig::AnnulusMesh& mesh,
                      const rig::RowSpec& row, double omega, const FlowConfig& cfg)
-    : ctx_(ctx), row_(row), cfg_(cfg), omega_(omega), pfx_(row.name + ":") {
+    : ctx_(ctx), row_(row), cfg_(cfg), omega_(omega), pfx_(row.name + ":"),
+      rk_alpha_(ctx.decl_global<double>(pfx_ + "rk_alpha", 1)),
+      frame_angle_(ctx.decl_global<double>(pfx_ + "frame_angle", 1)) {
   declare(mesh, nullptr);
 }
 
 RowSolver::RowSolver(op2::Context& ctx, const rig::RowShard& shard,
                      const rig::RowSpec& row, double omega, const FlowConfig& cfg)
-    : ctx_(ctx), row_(row), cfg_(cfg), omega_(omega), pfx_(row.name + ":") {
+    : ctx_(ctx), row_(row), cfg_(cfg), omega_(omega), pfx_(row.name + ":"),
+      rk_alpha_(ctx.decl_global<double>(pfx_ + "rk_alpha", 1)),
+      frame_angle_(ctx.decl_global<double>(pfx_ + "frame_angle", 1)) {
   declare(shard.local, &shard);
 }
 
 void RowSolver::set_coupled(rig::BoundaryGroup group, bool coupled) {
   if (group != BoundaryGroup::Inlet && group != BoundaryGroup::Outlet) {
     throw std::invalid_argument("RowSolver::set_coupled: only Inlet/Outlet can couple");
+  }
+  if (step_) {
+    throw std::logic_error("RowSolver::set_coupled: the step chain of row '" + row_.name +
+                           "' is already declared; call set_coupled before initialize()");
   }
   coupled_[gi(group)] = coupled;
 }
@@ -253,24 +261,39 @@ void RowSolver::initialize() {
                   },
                   op2::write(*ghost_[gi(group)]));
   }
+
+  if (step_) return;
+  // The step chain, declared once and executed every RK stage (or implicit
+  // residual evaluation): the residual loops, then the RK update. Values
+  // that change between executions reach the kernels as read globals.
+  step_ = std::make_unique<op2::LoopChain>(ctx_, pfx_ + "step");
+  declare_residual(*step_);
+  if (cfg_.implicit_dual_time) return;
+  step_->add((pfx_ + "rk_update").c_str(), *cells_,
+             [](const double* q0, const double* r, const double* vol, const double* dt,
+                const double* alpha, double* q, const double* nut0, const double* sr,
+                double* nut) {
+               const double scale = *alpha * *dt / *vol;
+               for (int s = 0; s < kNState; ++s) q[s] = q0[s] + scale * r[s];
+               // Keep density/energy physical on transients.
+               if (q[0] < 1e-3) q[0] = 1e-3;
+               *nut = std::max(0.0, *nut0 + scale * *sr);
+             },
+             op2::read(*q0_), op2::read(*res_), op2::read(*vol_), op2::read(*dtl_),
+             op2::read(rk_alpha_), op2::write(*q_), op2::read(*nut0_),
+             op2::read(*nut_res_), op2::write(*nut_));
 }
 
-void RowSolver::flux_and_sources(int stage, op2::LoopChain* chain) {
-  (void)stage;
+void RowSolver::execute_step() {
+  if (!step_) throw std::logic_error("RowSolver: initialize() before iterating");
+  frame_angle_.set(row_.rotor ? omega_ * time_ : 0.0);
+  step_->execute();
+}
+
+void RowSolver::declare_residual(op2::LoopChain& chain) {
   const double gamma = cfg_.gamma;
 
-  // Pipeline emitter: the same loops either run immediately (unchained
-  // per-loop path) or are declared as members of the RK stage chain, whose
-  // planner fuses their halo exchanges and tiles their execution.
-  auto emit = [&](const std::string& name, op2::Set& set, auto kernel, auto... args) {
-    if (chain) {
-      chain->add(name.c_str(), set, std::move(kernel), args...);
-    } else {
-      op2::par_loop(name.c_str(), set, std::move(kernel), args...);
-    }
-  };
-
-  emit(pfx_ + "zero_res", *cells_,
+  chain.add((pfx_ + "zero_res").c_str(), *cells_,
        [](double* r, double* nr) {
          for (int s = 0; s < kNState; ++s) r[s] = 0.0;
          *nr = 0.0;
@@ -281,7 +304,7 @@ void RowSolver::flux_and_sources(int stage, op2::LoopChain* chain) {
   const bool need_grad = cfg_.second_order || cfg_.viscous;
   if (need_grad) {
     const double gas_r = cfg_.gas_constant;
-    emit(pfx_ + "grad_init", *cells_,
+    chain.add((pfx_ + "grad_init").c_str(), *cells_,
                   [](const double* q, double* gq, double* gp, double* gn, double* mn,
                      double* mx, double* lm) {
                     for (int i = 0; i < kNState * 3; ++i) gq[i] = 0.0;
@@ -300,8 +323,7 @@ void RowSolver::flux_and_sources(int stage, op2::LoopChain* chain) {
 
     // Per-face Green-Gauss accumulation (conservative, primitive and SA
     // gradients in one sweep) with neighborhood min/max for the limiter.
-    emit(
-        pfx_ + "grad_face", *faces_,
+    chain.add((pfx_ + "grad_face").c_str(), *faces_,
         [gamma, gas_r](const double* ql, const double* qr, const double* nl,
                        const double* nr_, const double* area, double* gql, double* gqr,
                        double* gpl, double* gpr, double* gnl, double* gnr, double* mnl,
@@ -350,8 +372,7 @@ void RowSolver::flux_and_sources(int stage, op2::LoopChain* chain) {
     // Boundary closure of the Green-Gauss integral: cell value on walls
     // (zero normal gradient), ghost average on inlet/outlet.
     for (const auto group : {BoundaryGroup::Inlet, BoundaryGroup::Outlet}) {
-      emit(
-          pfx_ + group_tag(group) + "_grad", *bsets_[gi(group)],
+      chain.add((pfx_ + group_tag(group) + "_grad").c_str(), *bsets_[gi(group)],
           [gamma, gas_r](const double* q, const double* nut, const double* gh,
                          const double* area, double* gq, double* gp, double* gn) {
             for (int d = 0; d < 3; ++d) {
@@ -379,8 +400,7 @@ void RowSolver::flux_and_sources(int stage, op2::LoopChain* chain) {
           op2::inc(*gradnut_, *b2c_[gi(group)], 0));
     }
     for (const auto group : {BoundaryGroup::Hub, BoundaryGroup::Casing}) {
-      emit(
-          pfx_ + group_tag(group) + "_grad", *bsets_[gi(group)],
+      chain.add((pfx_ + group_tag(group) + "_grad").c_str(), *bsets_[gi(group)],
           [gamma, gas_r](const double* q, const double* nut, const double* area,
                          double* gq, double* gp, double* gn) {
             for (int d = 0; d < 3; ++d) {
@@ -400,7 +420,7 @@ void RowSolver::flux_and_sources(int stage, op2::LoopChain* chain) {
           op2::inc(*gradnut_, *b2c_[gi(group)], 0));
     }
 
-    emit(pfx_ + "grad_scale", *cells_,
+    chain.add((pfx_ + "grad_scale").c_str(), *cells_,
                   [](const double* vol, double* gq, double* gp, double* gn) {
                     const double inv = 1.0 / *vol;
                     for (int i = 0; i < kNState * 3; ++i) gq[i] *= inv;
@@ -413,8 +433,7 @@ void RowSolver::flux_and_sources(int stage, op2::LoopChain* chain) {
 
     if (cfg_.second_order) {
       // Barth-Jespersen: per cell, per variable, the most restrictive face.
-      emit(
-          pfx_ + "limiter_face", *faces_,
+      chain.add((pfx_ + "limiter_face").c_str(), *faces_,
           [](const double* ql, const double* qr, const double* gql, const double* gqr,
              const double* ccl, const double* ccr, const double* fc, const double* mnl,
              const double* mnr, const double* mxl, const double* mxr, double* lml,
@@ -463,8 +482,7 @@ void RowSolver::flux_and_sources(int stage, op2::LoopChain* chain) {
     const double pr_t = cfg_.prandtl_turb;
     const double sa_sigma = cfg_.sa_sigma;
     const double cv1 = cfg_.sa_cv1;
-    emit(
-        pfx_ + "flux_face", *faces_,
+    chain.add((pfx_ + "flux_face").c_str(), *faces_,
         [gamma, second_order, viscous, use_roe, mu_l, cp, k_lam, pr_t, sa_sigma, cv1](
             const double* ql, const double* qr, const double* nl, const double* nr_,
             const double* gql, const double* gqr, const double* gpl, const double* gpr,
@@ -574,7 +592,7 @@ void RowSolver::flux_and_sources(int stage, op2::LoopChain* chain) {
     const double cp = cfg_.cp();
     const double gas_r = cfg_.gas_constant;
     const double nut_in = cfg_.sa_nut_in;
-    emit(pfx_ + "inlet_ghost_tc", *bsets_[gi(BoundaryGroup::Inlet)],
+    chain.add((pfx_ + "inlet_ghost_tc").c_str(), *bsets_[gi(BoundaryGroup::Inlet)],
                   [gamma, p0, t0, cp, gas_r, nut_in](const double* q, double* gh) {
                     // Interior velocity magnitude, axial inflow direction.
                     const double u2 = (q[1] * q[1] + q[2] * q[2] + q[3] * q[3]) /
@@ -599,7 +617,7 @@ void RowSolver::flux_and_sources(int stage, op2::LoopChain* chain) {
   // coupler-provided ghost.
   if (!coupled_[gi(BoundaryGroup::Outlet)]) {
     const double p_back = cfg_.p_back();
-    emit(pfx_ + "outlet_ghost", *bsets_[gi(BoundaryGroup::Outlet)],
+    chain.add((pfx_ + "outlet_ghost").c_str(), *bsets_[gi(BoundaryGroup::Outlet)],
                   [gamma, p_back](const double* q, double* gh) {
                     const double ke =
                         0.5 * (q[1] * q[1] + q[2] * q[2] + q[3] * q[3]) / q[0];
@@ -618,7 +636,7 @@ void RowSolver::flux_and_sources(int stage, op2::LoopChain* chain) {
   // against the exterior payload, upwinded SA convection on the same face.
   const bool bc_use_roe = cfg_.flux_scheme == FlowConfig::FluxScheme::Roe;
   for (const auto group : {BoundaryGroup::Inlet, BoundaryGroup::Outlet}) {
-    emit(pfx_ + group_tag(group) + "_flux", *bsets_[gi(group)],
+    chain.add((pfx_ + group_tag(group) + "_flux").c_str(), *bsets_[gi(group)],
                   [gamma, bc_use_roe](const double* q, const double* nut, const double* gh,
                                       const double* area, double* r, double* sr) {
                     double f[kNState];
@@ -650,8 +668,7 @@ void RowSolver::flux_and_sources(int stage, op2::LoopChain* chain) {
     const double mu_l = cfg_.mu_laminar;
     const double cv1 = cfg_.sa_cv1;
     for (const auto group : {BoundaryGroup::Hub, BoundaryGroup::Casing}) {
-      emit(
-          pfx_ + group_tag(group) + "_flux", *bsets_[gi(group)],
+      chain.add((pfx_ + group_tag(group) + "_flux").c_str(), *bsets_[gi(group)],
           [gamma, no_slip, mu_l, cv1](const double* q, const double* nut,
                                       const double* dist, const double* area, double* r) {
             const double p = pressure(q, gamma);
@@ -698,15 +715,15 @@ void RowSolver::flux_and_sources(int stage, op2::LoopChain* chain) {
         row_.rotor ? cfg_.rotor_axial_load / (row_.x_max - row_.x_min) : 0.0;
     const double wake = cfg_.blade_wake_frac;
     const int nblades = row_.nblades;
-    const double frame_angle = row_.rotor ? omega_ * time_ : 0.0;
-    emit(pfx_ + "blade_force", *cells_,
-                  [omega, tau, frac, rotor, axial_load, wake, nblades, frame_angle](
-                      const double* q, const double* rt, const double* vol, double* r) {
+    chain.add((pfx_ + "blade_force").c_str(), *cells_,
+                  [omega, tau, frac, rotor, axial_load, wake, nblades](
+                      const double* q, const double* rt, const double* vol,
+                      const double* frame_angle, double* r) {
                     const double rad = rt[0], th = rt[1];
                     const double ty = -std::sin(th), tz = std::cos(th);
                     const double blade_speed = omega * rad;
                     const double mod =
-                        1.0 + wake * std::cos(nblades * (th - frame_angle));
+                        1.0 + wake * std::cos(nblades * (th - *frame_angle));
                     const double m_theta = q[2] * ty + q[3] * tz;  // rho * w_theta
                     const double f_theta =
                         mod * (q[0] * frac * blade_speed - m_theta) / tau;
@@ -723,7 +740,7 @@ void RowSolver::flux_and_sources(int stage, op2::LoopChain* chain) {
                     }
                   },
                   op2::read(*q_), op2::read(*rtheta_),
-                  op2::read(*vol_), op2::inc(*res_));
+                  op2::read(*vol_), op2::read(frame_angle_), op2::inc(*res_));
   }
 
   // Dual time stepping: BDF2 physical-time derivative as a residual source
@@ -731,7 +748,7 @@ void RowSolver::flux_and_sources(int stage, op2::LoopChain* chain) {
   // the steady solution directly).
   if (!cfg_.steady) {
     const double inv2dt = 1.0 / (2.0 * cfg_.dt_phys);
-    emit(pfx_ + "dualtime_src", *cells_,
+    chain.add((pfx_ + "dualtime_src").c_str(), *cells_,
                   [inv2dt](const double* q, const double* qo, const double* qo2,
                            const double* vol, double* r) {
                     for (int s = 0; s < kNState; ++s) {
@@ -747,7 +764,7 @@ void RowSolver::flux_and_sources(int stage, op2::LoopChain* chain) {
   // based (DESIGN.md notes the simplification vs. full SA).
   {
     const double cb1 = cfg_.sa_cb1, cw1 = cfg_.sa_cw1;
-    emit(pfx_ + "sa_source", *cells_,
+    chain.add((pfx_ + "sa_source").c_str(), *cells_,
                   [cb1, cw1](const double* q, const double* nut, const double* d,
                              const double* vol, double* sr) {
                     const double speed =
@@ -830,37 +847,8 @@ void RowSolver::inner_iteration() {
   for (int stage = 0; stage < cfg_.rk_stages; ++stage) {
     trace::Span tstage("hydra:rk_stage");
     tstage.arg("stage", static_cast<double>(stage));
-    const double alpha = 1.0 / static_cast<double>(cfg_.rk_stages - stage);
-    auto rk_update = [alpha](const double* q0, const double* r, const double* vol,
-                             const double* dt, double* q, const double* nut0,
-                             const double* sr, double* nut) {
-      const double scale = alpha * *dt / *vol;
-      for (int s = 0; s < kNState; ++s) q[s] = q0[s] + scale * r[s];
-      // Keep density/energy physical on transients.
-      if (q[0] < 1e-3) q[0] = 1e-3;
-      *nut = std::max(0.0, *nut0 + scale * *sr);
-    };
-    if (cfg_.chain_rk) {
-      // The whole stage (residual assembly + update) as one declared chain:
-      // the chain planner fuses halo epochs per segment and interleaves the
-      // member loops tile-by-tile. alpha lives in the kernel closure, so the
-      // plan structure is identical across stages and revalidates cheaply.
-      op2::LoopChain chain(ctx_, pfx_ + "rk_stage");
-      flux_and_sources(stage, &chain);
-      chain.add((pfx_ + "rk_update").c_str(), *cells_, rk_update,
-                op2::read(*q0_), op2::read(*res_),
-                op2::read(*vol_), op2::read(*dtl_),
-                op2::write(*q_), op2::read(*nut0_),
-                op2::read(*nut_res_), op2::write(*nut_));
-      chain.execute();
-    } else {
-      flux_and_sources(stage);
-      op2::par_loop((pfx_ + "rk_update").c_str(), *cells_, rk_update,
-                    op2::read(*q0_), op2::read(*res_),
-                    op2::read(*vol_), op2::read(*dtl_),
-                    op2::write(*q_), op2::read(*nut0_),
-                    op2::read(*nut_res_), op2::write(*nut_));
-    }
+    rk_alpha_.set(1.0 / static_cast<double>(cfg_.rk_stages - stage));
+    execute_step();
   }
 }
 
@@ -876,8 +864,8 @@ void RowSolver::implicit_iteration() {
 
   // Right-hand side: the full nonlinear residual (including the BDF2
   // dual-time source when unsteady), exactly the explicit path's increment
-  // direction.
-  flux_and_sources(0);
+  // direction — the step chain, which carries no rk_update here.
+  execute_step();
 
   // Spectral-radius Jacobian on the cell stencil (first-order linearization
   // of the Rusanov flux): off-diagonal -1/2 lambda_f per face neighbor,

@@ -52,11 +52,15 @@ class RowSolver {
             double omega, const FlowConfig& cfg);
 
   /// Marks the inlet/outlet group as a sliding-plane interface; its ghost
-  /// values then come from the coupler. Call before initialize().
+  /// values then come from the coupler. Call before initialize(): the step
+  /// chain's boundary loops depend on it, so afterwards this throws
+  /// std::logic_error.
   void set_coupled(rig::BoundaryGroup group, bool coupled);
 
-  /// Sets the whole field to the inflow state and fills ghost values.
-  /// Collective; requires the context to be partitioned.
+  /// Sets the whole field to the inflow state and fills ghost values. The
+  /// first call also declares the step chain (DESIGN.md §10) that every
+  /// later inner iteration executes. Collective; requires the context to
+  /// be partitioned.
   void initialize();
 
   /// One pseudo-time inner iteration (wavespeed, RK stages over the residual
@@ -120,9 +124,10 @@ class RowSolver {
 
  private:
   void declare(const rig::AnnulusMesh& mesh, const rig::RowShard* shard);
-  /// Emits the residual-assembly loops: into `chain` when given (the RK
-  /// stage pipeline declared as a LoopChain), else as immediate par_loops.
-  void flux_and_sources(int stage, op2::LoopChain* chain = nullptr);
+  /// Declares the residual-assembly loops as members of `chain`.
+  void declare_residual(op2::LoopChain& chain);
+  /// Executes the step chain at the current physical time.
+  void execute_step();
   /// Wavespeed accumulation + local pseudo step (shared by the explicit and
   /// implicit paths; only the CFL and the dual-time cap differ).
   void wavespeed_and_dt(double cfl, double dt_cap);
@@ -138,6 +143,12 @@ class RowSolver {
   bool coupled_[4] = {false, false, false, false};
   double time_ = 0.0;  ///< physical time [s]
   long inner_count_ = 0;  ///< total pseudo-iterations (drives the CFL ramp)
+
+  /// Residual + RK update (explicit) or residual only (implicit), declared
+  /// by the first initialize(). Its kernels read the two globals below.
+  std::unique_ptr<op2::LoopChain> step_;
+  op2::Global<double> rk_alpha_;     ///< RK stage coefficient
+  op2::Global<double> frame_angle_;  ///< blade-wake frame angle omega * time [rad]
 
   op2::gindex_t ncell_global_ = 0;
 

@@ -9,6 +9,28 @@
 
 namespace vcgt::krylov {
 
+namespace {
+
+/// y = A x per component, x read through the stencil row.
+auto spmv_kernel(int d, int k) {
+  return [d, k](const double* a, const op2::index_t* cols, op2::DatSpan<double> x,
+                double* y) {
+    for (int c = 0; c < d; ++c) {
+      double sum = 0.0;
+      for (int j = 0; j < k; ++j) sum += a[j] * x.at(cols[j], c);
+      y[c] = sum;
+    }
+  };
+}
+
+double aggregate_norm(const double* rr, int d) {
+  double ss = 0.0;
+  for (int c = 0; c < d; ++c) ss += rr[c];
+  return std::sqrt(ss);
+}
+
+}  // namespace
+
 StencilMatrix declare_stencil(op2::Context& ctx, op2::Set& rows, int width,
                               const std::string& name, const StencilFill& fill) {
   if (width < 1) throw std::invalid_argument("krylov: stencil width must be >= 1");
@@ -63,25 +85,9 @@ Solver::Solver(op2::Context& ctx, StencilMatrix m, int dim, std::string name)
 
 // --- building-block loops ----------------------------------------------------
 
-void Solver::spmv(const char* loop, op2::Dat<double>& in, op2::Dat<double>& out,
-                  op2::LoopChain* chain) {
-  const int d = d_;
-  const int k = m_.width();
-  auto kernel = [d, k](const double* a, const op2::index_t* cols,
-                       op2::DatSpan<double> x, double* y) {
-    for (int c = 0; c < d; ++c) {
-      double sum = 0.0;
-      for (int j = 0; j < k; ++j) sum += a[j] * x.at(cols[j], c);
-      y[c] = sum;
-    }
-  };
-  if (chain) {
-    chain->add(loop, *m_.rows, kernel, op2::read(*m_.a), op2::row(*m_.cols),
-               op2::read_span(in, *m_.cols), op2::write(out));
-  } else {
-    op2::par_loop(loop, *m_.rows, kernel, op2::read(*m_.a), op2::row(*m_.cols),
-                  op2::read_span(in, *m_.cols), op2::write(out));
-  }
+void Solver::spmv(const char* loop, op2::Dat<double>& in, op2::Dat<double>& out) {
+  op2::par_loop(loop, *m_.rows, spmv_kernel(d_, m_.width()), op2::read(*m_.a),
+                op2::row(*m_.cols), op2::read_span(in, *m_.cols), op2::write(out));
 }
 
 /// dots2_[c] = u·v per component, dots2_[d+c] = v·v per component — one
@@ -222,16 +228,6 @@ void Solver::apply_precond(Precond p, op2::Dat<double>& in, op2::Dat<double>& ou
 
 // --- drivers -----------------------------------------------------------------
 
-namespace {
-
-double aggregate_norm(const double* rr, int d) {
-  double ss = 0.0;
-  for (int c = 0; c < d; ++c) ss += rr[c];
-  return std::sqrt(ss);
-}
-
-}  // namespace
-
 SolveStats Solver::solve(op2::Dat<double>& x, op2::Dat<double>& b,
                          const SolveOptions& opts) {
   prepare(opts.precond);
@@ -248,7 +244,7 @@ SolveStats Solver::run_cg(op2::Dat<double>& x, op2::Dat<double>& b,
   op2::par_loop((pfx_ + "seed_p").c_str(), *m_.rows, [d](const double* xv, double* pv) {
     for (int c = 0; c < d; ++c) pv[c] = xv[c];
   }, op2::read(x), op2::write(*p_));
-  spmv((pfx_ + "spmv_p").c_str(), *p_, *q_, nullptr);
+  spmv((pfx_ + "spmv_p").c_str(), *p_, *q_);
   op2::par_loop((pfx_ + "residual").c_str(), *m_.rows,
                 [d](const double* bv, const double* qv, double* rv) {
                   for (int c = 0; c < d; ++c) rv[c] = bv[c] - qv[c];
@@ -272,26 +268,19 @@ SolveStats Solver::run_cg(op2::Dat<double>& x, op2::Dat<double>& b,
   st.history.push_back(st.rnorm0);
   const double tol = std::max(opts.rtol * st.rnorm0, opts.atol);
 
+  if (!cg_iter_) {
+    cg_iter_ = std::make_unique<op2::LoopChain>(ctx_, pfx_ + "iter");
+    cg_iter_->add((pfx_ + "xpay").c_str(), *m_.rows,
+                  [d](const double* zv, const double* bv, double* pv) {
+                    for (int c = 0; c < d; ++c) pv[c] = zv[c] + bv[c] * pv[c];
+                  },
+                  op2::read(*z_), op2::read(beta_), op2::rw(*p_));
+    cg_iter_->add((pfx_ + "spmv_p").c_str(), *m_.rows, spmv_kernel(d, m_.width()),
+                  op2::read(*m_.a), op2::row(*m_.cols), op2::read_span(*p_, *m_.cols),
+                  op2::write(*q_));
+  }
   for (int it = 0; it < opts.max_iters && st.rnorm > tol; ++it) {
-    // p = z + beta p ; q = A p — chained: one fused halo epoch covers the
-    // SpMV's read of p.
-    if (opts.chain_spmv) {
-      op2::LoopChain chain(ctx_, pfx_ + "iter");
-      chain.add((pfx_ + "xpay").c_str(), *m_.rows,
-                [d](const double* zv, const double* bv, double* pv) {
-                  for (int c = 0; c < d; ++c) pv[c] = zv[c] + bv[c] * pv[c];
-                },
-                op2::read(*z_), op2::read(beta_), op2::rw(*p_));
-      spmv((pfx_ + "spmv_p").c_str(), *p_, *q_, &chain);
-      chain.execute();
-    } else {
-      op2::par_loop((pfx_ + "xpay").c_str(), *m_.rows,
-                    [d](const double* zv, const double* bv, double* pv) {
-                      for (int c = 0; c < d; ++c) pv[c] = zv[c] + bv[c] * pv[c];
-                    },
-                    op2::read(*z_), op2::read(beta_), op2::rw(*p_));
-      spmv((pfx_ + "spmv_p").c_str(), *p_, *q_, nullptr);
-    }
+    cg_iter_->execute();  // p = z + beta p ; q = A p
 
     dot_single((pfx_ + "dot_pq").c_str(), *p_, *q_);
     for (int c = 0; c < d; ++c) {
@@ -334,7 +323,7 @@ SolveStats Solver::run_bicgstab(op2::Dat<double>& x, op2::Dat<double>& b,
   op2::par_loop((pfx_ + "seed_p").c_str(), *m_.rows, [d](const double* xv, double* pv) {
     for (int c = 0; c < d; ++c) pv[c] = xv[c];
   }, op2::read(x), op2::write(*p_));
-  spmv((pfx_ + "spmv_p").c_str(), *p_, *q_, nullptr);
+  spmv((pfx_ + "spmv_p").c_str(), *p_, *q_);
   op2::par_loop((pfx_ + "residual").c_str(), *m_.rows,
                 [d](const double* bv, const double* qv, double* rv) {
                   for (int c = 0; c < d; ++c) rv[c] = bv[c] - qv[c];
@@ -359,7 +348,7 @@ SolveStats Solver::run_bicgstab(op2::Dat<double>& x, op2::Dat<double>& b,
 
   for (int it = 0; it < opts.max_iters && st.rnorm > tol; ++it) {
     apply_precond(opts.precond, *p_, *z_, (pfx_ + "precond_phat").c_str());
-    spmv((pfx_ + "spmv_phat").c_str(), *z_, *q_, nullptr);  // v = A phat
+    spmv((pfx_ + "spmv_phat").c_str(), *z_, *q_);  // v = A phat
 
     dot_single((pfx_ + "dot_r0v").c_str(), *r0_, *q_);
     for (int c = 0; c < d; ++c) {
@@ -374,7 +363,7 @@ SolveStats Solver::run_bicgstab(op2::Dat<double>& x, op2::Dat<double>& b,
                   op2::read(alpha_), op2::read(*r_), op2::read(*q_), op2::write(*s_));
 
     apply_precond(opts.precond, *s_, *sh_, (pfx_ + "precond_shat").c_str());
-    spmv((pfx_ + "spmv_shat").c_str(), *sh_, *t_, nullptr);
+    spmv((pfx_ + "spmv_shat").c_str(), *sh_, *t_);
 
     dot_pair((pfx_ + "dot_ts_tt").c_str(), *s_, *t_);  // g[c]=s·t, g[d+c]=t·t
     for (int c = 0; c < d; ++c) {

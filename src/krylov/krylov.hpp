@@ -28,6 +28,7 @@
 // block, so its *preconditioned direction* depends on the partition and only
 // serial/threaded runs of it are bit-comparable.
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -68,10 +69,6 @@ struct SolveOptions {
   int max_iters = 500;
   double rtol = 1e-8;
   double atol = 0.0;
-  /// Fuse the per-iteration direction-update + SpMV pair into a declared
-  /// LoopChain (one grouped halo epoch instead of one per loop). Results
-  /// are bit-identical either way — neither loop carries a reduction.
-  bool chain_spmv = true;
 };
 
 struct SolveStats {
@@ -104,8 +101,7 @@ class Solver {
   void prepare(Precond p);
   void apply_precond(Precond p, op2::Dat<double>& in, op2::Dat<double>& out,
                      const char* loop);
-  void spmv(const char* loop, op2::Dat<double>& in, op2::Dat<double>& out,
-            op2::LoopChain* chain);
+  void spmv(const char* loop, op2::Dat<double>& in, op2::Dat<double>& out);
   void dot_pair(const char* loop, op2::Dat<double>& u, op2::Dat<double>& v);
   void dot_single(const char* loop, op2::Dat<double>& u, op2::Dat<double>& v);
   SolveStats run_cg(op2::Dat<double>& x, op2::Dat<double>& b, const SolveOptions& opts);
@@ -137,6 +133,11 @@ class Solver {
 
   // Jacobi: reciprocal diagonal (dim 1).
   op2::Dat<double>* invdiag_;
+
+  /// The CG iteration's direction update + SpMV (p = z + beta p; q = A p),
+  /// declared on the first CG solve: one fused halo epoch covers the SpMV's
+  /// read of p.
+  std::unique_ptr<op2::LoopChain> cg_iter_;
 
   // BlockILU0 factors of the rank-local owned diagonal block (CSR over the
   // stencil pattern, halo columns dropped).

@@ -10,24 +10,24 @@
 //   * nothing else — everything downstream is a pure function of the
 //     replicated chain structure and those regions.
 //
-// Execution-order contract (what makes chained == unchained bit-exact):
-// inside a fused segment every member's elements run as contiguous
-// ascending ranges, tile by tile; the frontier alignment below guarantees
-// all producers of a tile's reads ran in the same or an earlier tile, and
+// Execution-order contract (what makes fused == eager bit-exact): inside a
+// fused segment every member's elements run as contiguous ascending
+// ranges, tile by tile; the frontier alignment below guarantees all
+// producers of a tile's reads ran in the same or an earlier tile, and
 // WAR/WAW constraints keep not-yet-run readers/writers ahead of later
 // writers. Per-loop floating-point order is therefore exactly the flat
-// ascending order of the unchained executor *without latency-hiding
-// overlap* — i.e. serial runs always, and distributed runs with
-// Config::latency_hiding=false. With latency hiding on, the solo
-// executor splits owned elements into core/tail lists and runs core
-// before the exchange completes; that split folds indirect increments
-// into a shared target in core-then-tail order rather than ascending
-// index order, so solo results can differ from flat order at rounding
-// level (the fuzz matrix compares them to the oracle at ULP tolerance,
-// same as any fold-order-changing option). Chained execution never
-// splits — fused epochs complete before the segment's tiles run — so
-// chained-vs-unchained bit-identity is only guaranteed when the solo
-// side folds in flat order too.
+// ascending order of the eager reference (Config::chain_tile = 0, every
+// member a standalone par_loop) *without latency-hiding overlap* — i.e.
+// serial runs always, and distributed runs with
+// Config::latency_hiding=false. With latency hiding on, par_loop splits
+// owned elements into core/tail lists and runs core before the exchange
+// completes; that split folds indirect increments into a shared target in
+// core-then-tail order rather than ascending index order, so eager results
+// can differ from flat order at rounding level (the fuzz matrix compares
+// them to the oracle at ULP tolerance, same as any fold-order-changing
+// option). Fused execution never splits — fused epochs complete before the
+// segment's tiles run — so fused-vs-eager bit-identity is only guaranteed
+// when the eager side folds in flat order too.
 #include <algorithm>
 #include <cstdint>
 #include <tuple>
@@ -131,6 +131,8 @@ void Context::build_chain_plan(ChainPlan& plan, const std::vector<ChainLoopDecl>
       }
       if (a.is_global && a.acc != Access::Read) mp.standalone = true;
     }
+    // chain_tile 0: the eager reference, every member a plain par_loop.
+    if (cfg_.chain_tile == 0) mp.standalone = true;
     plan.members.push_back(std::move(mp));
   }
 
@@ -315,7 +317,7 @@ void Context::build_chain_plan(ChainPlan& plan, const std::vector<ChainLoopDecl>
   close_segment(nm - 1);
 
   // --- segments: tiles, frontiers, colors ----------------------------------
-  const int tile = cfg_.chain_tile > 0 ? cfg_.chain_tile : 4096;
+  const int tile = cfg_.chain_tile;  // > 0: an eager chain has no fused segment
   for (std::size_t si = 0; si < seg_ranges.size(); ++si) {
     ChainSegment seg;
     seg.first = seg_ranges[si].first;

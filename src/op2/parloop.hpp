@@ -813,12 +813,14 @@ void par_loop(const char* name, const Set& set, Kernel&& kernel, As... as) {
 
 // --- LoopChain (DESIGN.md §10) ----------------------------------------------
 //
-//   op2::LoopChain chain(ctx, "rk_stage");
+//   op2::LoopChain chain(ctx, "rk_stage");   // declared once ...
 //   chain.add("grad",  cells, grad_kernel,  op2::read(q), op2::write(dq));
 //   chain.add("flux",  edges, flux_kernel,  op2::read(dq, e2c, 0), ...);
-//   chain.add("update", cells, upd_kernel,  op2::read(r), op2::rw(q));
-//   chain.execute();   // collective; repeatable (plan cached by name)
+//   chain.add("update", cells, upd_kernel,  op2::read(alpha), op2::rw(q));
+//   chain.execute();   // ... executed many times; collective
 //
+// Kernels and arguments are captured at add(), so a value that changes
+// between executions (alpha above) is passed as an op2::read Global.
 // Declaring the loops up front hands the planner the whole pipeline at
 // once: it classifies the cross-loop dependences, fuses the per-loop halo
 // exchanges into one grouped epoch per segment, and executes the member
@@ -828,7 +830,8 @@ void par_loop(const char* name, const Set& set, Kernel&& kernel, As... as) {
 // order is preserved inside every tile range, which keeps chained results
 // bit-identical to issuing the same par_loops one by one (vcgt::verify's
 // chained fuzz group holds the executor to that). Members carrying a global
-// reduction run as ordinary standalone par_loops between fused segments.
+// reduction run as ordinary standalone par_loops between fused segments;
+// with Config::chain_tile = 0 every member does (the eager reference).
 class LoopChain {
  public:
   LoopChain(Context& ctx, std::string name) : ctx_(ctx), name_(std::move(name)) {}
@@ -844,6 +847,7 @@ class LoopChain {
     decl.set = &set;
     decl.args = {detail::to_info(as)...};
     decls_.push_back(std::move(decl));
+    plan_ = nullptr;  // revalidate against the cached plan on next execute
 
     auto args = std::make_tuple(as...);
     std::apply([&](auto&... a) { (detail::attach_set(a, set), ...); }, args);
@@ -872,7 +876,8 @@ class LoopChain {
   }
 
   /// Executes the declared chain. Collective across the context's
-  /// communicator; the plan is built on first call and cached by name.
+  /// communicator; the plan is built on first call and cached by name, and
+  /// later calls reuse it without a lookup.
   ///
   /// Metering: each loop's time is booked once. A standalone member books
   /// its time in its own LoopPlan; a fused segment books its wall time,
@@ -880,7 +885,8 @@ class LoopChain {
   /// ChainPlan::halo_seconds.
   void execute() {
     if (decls_.empty()) return;
-    ChainPlan& plan = ctx_.get_chain_plan(name_, decls_);
+    if (!plan_) plan_ = &ctx_.get_chain_plan(name_, decls_);
+    ChainPlan& plan = *plan_;
     trace::Span tspan("chain:" + name_);
     if (tspan.active()) {
       tspan.arg("members", static_cast<double>(plan.members.size()));
@@ -958,8 +964,6 @@ class LoopChain {
 
   /// The cached plan (null before the first execute()).
   [[nodiscard]] const ChainPlan* plan() const { return ctx_.find_chain(name_); }
-  [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] std::size_t size() const { return decls_.size(); }
 
  private:
   struct Member {
@@ -971,6 +975,7 @@ class LoopChain {
   std::string name_;
   std::vector<ChainLoopDecl> decls_;
   std::vector<Member> members_;
+  ChainPlan* plan_ = nullptr;  ///< owned by the context, set by execute()
 };
 
 }  // namespace vcgt::op2

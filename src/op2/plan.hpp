@@ -109,9 +109,9 @@ struct LoopPlan {
 // the chain into fusible segments, build aligned cross-loop tiles inside
 // each segment (executed loop-interleaved for locality, preserving each
 // loop's ascending element order so results stay bit-identical to the
-// unchained executor whenever that path folds in flat ascending order —
-// serial, or latency hiding off; see chain.cpp's execution-order
-// contract), color the tiles for conflict-free parallel execution, and
+// eager reference, Config::chain_tile = 0, whenever it folds in flat
+// ascending order — serial, or latency hiding off; see chain.cpp's
+// execution-order contract), color the tiles for conflict-free parallel execution, and
 // hoist every member's halo exchange to one grouped epoch at segment
 // entry.
 
@@ -157,7 +157,8 @@ struct ChainMemberPlan {
   /// there without a mid-chain exchange.
   bool exec_extended = false;
   /// Member executes through its own full par_loop (global reductions
-  /// need the deterministic-reduction / merge machinery).
+  /// need the deterministic-reduction / merge machinery; chain_tile 0
+  /// makes every member standalone).
   bool standalone = false;
   index_t n_executed = 0;  ///< owned (+ exec when iterated/extended)
   int segment = 0;

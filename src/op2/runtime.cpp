@@ -171,8 +171,8 @@ Context::Context(minimpi::Comm comm, Config cfg)
   if (cfg_.aosoa_block < 1 || (cfg_.aosoa_block & (cfg_.aosoa_block - 1)) != 0) {
     throw std::invalid_argument("op2: Config::aosoa_block must be a power of two");
   }
-  if (cfg_.chain_tile < 1) {
-    throw std::invalid_argument("op2: Config::chain_tile must be positive");
+  if (cfg_.chain_tile < 0) {
+    throw std::invalid_argument("op2: Config::chain_tile must not be negative");
   }
 }
 
@@ -450,8 +450,14 @@ Context::LoopStatsView Context::total_stats() const {
   }
   // Chain executions meter outside plans_ (fused epochs, interleaved tiles);
   // fold them in so the context-wide totals stay accurate under chaining.
+  // Each fused member execution is one loop call, the same count the
+  // member would add as a standalone par_loop.
   for (const auto& [name, plan] : chains_) {
-    total.invocations += plan->invocations;
+    std::uint64_t fused = 0;
+    for (const auto& seg : plan->segments) {
+      if (seg.fused) fused += static_cast<std::uint64_t>(seg.last - seg.first + 1);
+    }
+    total.invocations += plan->invocations * fused;
     total.seconds += plan->seconds;
     total.halo_seconds += plan->halo_seconds;
     total.halo_bytes += plan->halo_bytes;

@@ -143,7 +143,9 @@ struct Config {
   /// reduction are unaffected.
   bool deterministic_reductions = false;
   /// Tile width (seed-member elements per cross-loop tile) for fused
-  /// LoopChain execution. Also settable via VCGT_OP2_CHAIN_TILE.
+  /// LoopChain execution. Also settable via VCGT_OP2_CHAIN_TILE (> 0).
+  /// 0 is the eager reference: every chain member runs as its own
+  /// par_loop, in declaration order, exactly as if issued one by one.
   int chain_tile = 4096;
 };
 

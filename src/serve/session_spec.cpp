@@ -11,7 +11,7 @@ namespace {
 
 // Wire format version for the spec blob itself (the frame protocol carries
 // its own version; this one guards the spec encoding inside a frame).
-constexpr std::uint16_t kSpecVersion = 5;  // v5: op2 Config lost the transport toggle
+constexpr std::uint16_t kSpecVersion = 6;  // v6: FlowConfig lost the chained-RK toggle
 
 void put_flow(util::ByteWriter& w, const hydra::FlowConfig& f) {
   w.put_f64(f.gamma);
@@ -24,7 +24,6 @@ void put_flow(util::ByteWriter& w, const hydra::FlowConfig& f) {
   w.put_f64(f.cfl_start);
   w.put_i32(f.cfl_ramp_iters);
   w.put_i32(f.rk_stages);
-  w.put_bool(f.chain_rk);
   w.put_bool(f.sort_faces);
   w.put_i32(f.inner_iters);
   w.put_f64(f.dt_phys);
@@ -67,7 +66,6 @@ hydra::FlowConfig get_flow(util::ByteReader& r) {
   f.cfl_start = r.get_f64();
   f.cfl_ramp_iters = r.get_i32();
   f.rk_stages = r.get_i32();
-  f.chain_rk = r.get_bool();
   f.sort_faces = r.get_bool();
   f.inner_iters = r.get_i32();
   f.dt_phys = r.get_f64();

@@ -308,4 +308,20 @@ TEST(HydraSolver, SetCoupledValidation) {
   EXPECT_NO_THROW((void)solver.ghost(BoundaryGroup::Inlet));
 }
 
+TEST(HydraSolver, SetCoupledAfterInitializeThrows) {
+  // The step chain's boundary loops are fixed when initialize() declares
+  // it; changing the coupling afterwards would leave them stale.
+  op2::Context ctx;
+  const auto row = quiet_row();
+  const auto mesh = rig::generate_row_mesh(row, {3, 3, 8});
+  RowSolver solver(ctx, mesh, row, 0.0, quiet_config());
+  solver.set_coupled(BoundaryGroup::Inlet, true);
+  ctx.partition(op2::Partitioner::Rcb, solver.cell_center());
+  solver.initialize();
+  EXPECT_THROW(solver.set_coupled(BoundaryGroup::Outlet, true), std::logic_error);
+  EXPECT_THROW(solver.set_coupled(BoundaryGroup::Inlet, false), std::logic_error);
+  solver.initialize();  // warm re-initialization keeps the declared chain
+  EXPECT_NO_THROW(solver.advance_inner(1));
+}
+
 }  // namespace

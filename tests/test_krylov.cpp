@@ -113,6 +113,7 @@ struct SolveCase {
   int nranks = 1;
   int nthreads = 1;
   int d = 1;
+  int chain_tile = op2::Config{}.chain_tile;  ///< 0: the eager reference
   krylov::SolveOptions opts;
 };
 
@@ -151,6 +152,7 @@ SolveOut run_case(const rig::AnnulusMesh& mesh, const Ell& ell,
   if (sc.nranks <= 1 && sc.nthreads <= 1) {
     op2::Config cfg;
     cfg.deterministic_reductions = true;
+    cfg.chain_tile = sc.chain_tile;
     op2::Context ctx(cfg);
     out = run_one(ctx, mesh, ell, b_init, sc);
   } else {
@@ -158,6 +160,7 @@ SolveOut run_case(const rig::AnnulusMesh& mesh, const Ell& ell,
       op2::Config cfg;
       cfg.nthreads = sc.nthreads;
       cfg.deterministic_reductions = true;
+      cfg.chain_tile = sc.chain_tile;
       op2::Context ctx(comm, cfg);
       auto r = run_one(ctx, mesh, ell, b_init, sc);
       if (ctx.rank() == 0) out = std::move(r);
@@ -244,29 +247,28 @@ TEST(Krylov, CgHistoryBitIdenticalAcrossBackends) {
   }
 }
 
-TEST(Krylov, ChainedAndUnchainedSpmvBitIdentical) {
+TEST(Krylov, FusedAndEagerSpmvBitIdentical) {
   const auto mesh = rig::generate_row_mesh(test_row(), {3, 2, 8});
   const auto ell = build_laplacian(mesh, 0.5, 0.0);
   const auto xstar = manufactured_x(mesh.ncell, 1);
   const auto b = apply_ell(ell, mesh.ncell, 1, xstar);
 
   for (const int nranks : {1, 2}) {
-    SolveCase chained;
-    chained.nranks = nranks;
-    chained.opts.rtol = 1e-9;
-    chained.opts.chain_spmv = true;
-    SolveCase solo = chained;
-    solo.opts.chain_spmv = false;
+    SolveCase fused;
+    fused.nranks = nranks;
+    fused.opts.rtol = 1e-9;
+    SolveCase eager = fused;
+    eager.chain_tile = 0;
 
-    const auto oc = run_case(mesh, ell, b, chained);
-    const auto os = run_case(mesh, ell, b, solo);
+    const auto of = run_case(mesh, ell, b, fused);
+    const auto oe = run_case(mesh, ell, b, eager);
     SCOPED_TRACE(testing::Message() << nranks << " ranks");
-    ASSERT_EQ(oc.stats.history.size(), os.stats.history.size());
-    for (std::size_t i = 0; i < oc.stats.history.size(); ++i) {
-      EXPECT_EQ(oc.stats.history[i], os.stats.history[i]) << "iteration " << i;
+    ASSERT_EQ(of.stats.history.size(), oe.stats.history.size());
+    for (std::size_t i = 0; i < of.stats.history.size(); ++i) {
+      EXPECT_EQ(of.stats.history[i], oe.stats.history[i]) << "iteration " << i;
     }
-    for (std::size_t i = 0; i < oc.x.size(); ++i) {
-      EXPECT_EQ(oc.x[i], os.x[i]) << "x entry " << i;
+    for (std::size_t i = 0; i < of.x.size(); ++i) {
+      EXPECT_EQ(of.x[i], oe.x[i]) << "x entry " << i;
     }
   }
 }

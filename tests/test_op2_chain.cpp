@@ -1,7 +1,7 @@
 // LoopChain planner/executor tests (DESIGN.md §10): cross-loop dependence
 // classification, dependence-aligned tile frontiers and tile coloring,
 // fused halo epochs, chain metering, chained-plan fingerprints and the
-// hydra RK stage chain.
+// hydra step chain against its eager reference.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -369,6 +369,36 @@ TEST(ChainDist, FusedEpochsBitIdenticalWithFewerMessages) {
 
 // --- metering ----------------------------------------------------------------
 
+TEST(ChainMetering, FusedMembersCountAsLoopCalls) {
+  // One fused member execution is one loop call, exactly as the member run
+  // eagerly as its own par_loop.
+  const auto mesh = test::make_grid(6, 5);
+  std::uint64_t calls[2] = {0, 0};
+  for (const int tile : {0, 4096}) {
+    op2::Config cfg;
+    cfg.chain_tile = tile;
+    op2::Context ctx(cfg);
+    auto& nodes = ctx.decl_set("nodes", mesh.nnode);
+    auto& edges = ctx.decl_set("edges", mesh.nedge);
+    auto& e2n = ctx.decl_map("e2n", edges, nodes, 2, mesh.edge2node);
+    auto& deg = ctx.decl_dat<double>(nodes, 1, "deg");
+    op2::LoopChain chain(ctx, "deg_chain");
+    chain.add("zero", nodes, [](double* d) { *d = 0.0; }, op2::write(deg));
+    chain.add("count", edges,
+              [](double* d0, double* d1) {
+                *d0 += 1.0;
+                *d1 += 1.0;
+              },
+              op2::inc(deg, e2n, 0), op2::inc(deg, e2n, 1));
+    for (int i = 0; i < 3; ++i) chain.execute();
+    ASSERT_EQ(chain.plan()->segments.front().fused, tile != 0);
+    EXPECT_EQ(chain.plan()->invocations, 3u);
+    calls[tile != 0] = ctx.total_stats().invocations;
+  }
+  EXPECT_EQ(calls[0], 6u);
+  EXPECT_EQ(calls[1], calls[0]);
+}
+
 TEST(ChainMetering, EachLoopTimedOnceEpochsInHaloTime) {
   // Two ranks run a chain whose fused segment opens with a halo epoch —
   // every send delayed by the fault plan — followed by a heavy standalone
@@ -431,9 +461,12 @@ TEST(ChainMetering, EachLoopTimedOnceEpochsInHaloTime) {
   }, opts);
 }
 
-// --- hydra RK stage chain ----------------------------------------------------
+// --- hydra step chain ---------------------------------------------------------
+//
+// The fused step chain against the eager reference (chain_tile = 0: every
+// member a standalone par_loop), bit for bit.
 
-TEST(ChainHydra, RkStageChainBitIdenticalAcrossLayouts) {
+rig::RowSpec chain_row() {
   rig::RowSpec row;
   row.name = "T";
   row.rotor = false;
@@ -441,35 +474,87 @@ TEST(ChainHydra, RkStageChainBitIdenticalAcrossLayouts) {
   row.x_max = 0.1;
   row.r_hub = 0.3;
   row.r_casing = 0.5;
-  const auto mesh = rig::generate_row_mesh(row, {4, 3, 10});
+  return row;
+}
 
-  hydra::FlowConfig fcfg;
-  fcfg.stator_swirl_frac = 0.15;
-  fcfg.second_order = true;  // gradients + limiter: the multi-segment chain
-  fcfg.viscous = true;
-  fcfg.inner_iters = 2;
+hydra::FlowConfig chain_flow(bool implicit) {
+  hydra::FlowConfig c;
+  c.stator_swirl_frac = 0.15;
+  c.second_order = true;  // gradients + limiter: the multi-segment chain
+  c.viscous = true;
+  c.inner_iters = 2;
+  c.implicit_dual_time = implicit;
+  return c;
+}
 
-  const auto run = [&](op2::Layout layout, int block, bool chain_rk) {
+/// Two inner iterations of a fresh row solver; rank 0 gets the gathered q.
+std::vector<double> run_row(const rig::AnnulusMesh& mesh, const hydra::FlowConfig& fcfg,
+                            const op2::Config& oc, minimpi::Comm comm = {}) {
+  op2::Context ctx(comm, oc);
+  hydra::RowSolver solver(ctx, mesh, chain_row(), /*omega=*/0.0, fcfg);
+  ctx.partition(op2::Partitioner::Rcb, solver.cell_center());
+  solver.initialize();
+  solver.advance_inner(2);
+  return ctx.fetch_global(solver.q());
+}
+
+op2::Config eager_config() {
+  op2::Config oc;
+  oc.chain_tile = 0;
+  return oc;
+}
+
+TEST(ChainHydra, RkStageChainBitIdenticalAcrossLayouts) {
+  const auto mesh = rig::generate_row_mesh(chain_row(), {4, 3, 10});
+  const auto fcfg = chain_flow(/*implicit=*/false);
+  const auto run = [&](op2::Layout layout, int block) {
     op2::Config oc;
     oc.default_layout = layout;
     oc.aosoa_block = block;
-    op2::Context ctx(oc);
-    hydra::FlowConfig c = fcfg;
-    c.chain_rk = chain_rk;
-    hydra::RowSolver solver(ctx, mesh, row, /*omega=*/0.0, c);
-    ctx.partition(op2::Partitioner::Rcb, solver.cell_center());
-    solver.initialize();
-    solver.advance_inner(2);
-    return ctx.fetch_global(solver.q());
+    return run_row(mesh, fcfg, oc);
   };
 
-  const auto base = run(op2::Layout::AoS, 4, /*chain_rk=*/false);
+  const auto base = run_row(mesh, fcfg, eager_config());
   ASSERT_FALSE(base.empty());
-  // Chained == unchained, bit for bit, under every layout.
-  EXPECT_TRUE(bit_equal(base, run(op2::Layout::AoS, 4, true)));
-  EXPECT_TRUE(bit_equal(base, run(op2::Layout::SoA, 4, true)));
-  EXPECT_TRUE(bit_equal(base, run(op2::Layout::AoSoA, 4, true)));
-  EXPECT_TRUE(bit_equal(base, run(op2::Layout::AoSoA, 8, true)));
+  // Fused == eager, bit for bit, under every layout.
+  EXPECT_TRUE(bit_equal(base, run(op2::Layout::AoS, 4)));
+  EXPECT_TRUE(bit_equal(base, run(op2::Layout::SoA, 4)));
+  EXPECT_TRUE(bit_equal(base, run(op2::Layout::AoSoA, 4)));
+  EXPECT_TRUE(bit_equal(base, run(op2::Layout::AoSoA, 8)));
+}
+
+TEST(ChainHydra, ImplicitStepChainFusedEqualsEager) {
+  const auto mesh = rig::generate_row_mesh(chain_row(), {4, 3, 10});
+  const auto fcfg = chain_flow(/*implicit=*/true);
+  const auto base = run_row(mesh, fcfg, eager_config());
+  ASSERT_FALSE(base.empty());
+  EXPECT_TRUE(bit_equal(base, run_row(mesh, fcfg, op2::Config{})));
+}
+
+TEST(ChainHydra, TwoRankFusedEqualsEagerWithoutLatencyHiding) {
+  // Latency hiding folds the eager side's indirect increments core-then-
+  // tail (see the execution-order contract in src/op2/chain.cpp); without
+  // it both sides fold in flat ascending order.
+  const auto mesh = rig::generate_row_mesh(chain_row(), {4, 3, 10});
+  for (const bool implicit : {false, true}) {
+    const auto fcfg = chain_flow(implicit);
+    op2::Config fused;
+    fused.latency_hiding = false;
+    op2::Config eager = fused;
+    eager.chain_tile = 0;
+    std::vector<double> qf, qe;
+    minimpi::World::run(2, [&](minimpi::Comm& comm) {
+      auto f = run_row(mesh, fcfg, fused, comm);
+      auto e = run_row(mesh, fcfg, eager, comm);
+      if (comm.rank() == 0) {
+        qf = std::move(f);
+        qe = std::move(e);
+      }
+    });
+    SCOPED_TRACE(implicit ? "implicit" : "rk");
+    ASSERT_FALSE(qe.empty());
+    EXPECT_TRUE(bit_equal(qe, qf));
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // test_serve_chaos.cpp (label "chaos").
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -14,6 +15,7 @@
 #include "src/serve/server.hpp"
 #include "src/serve/session_spec.hpp"
 #include "src/serve/storm.hpp"
+#include "src/util/bytes.hpp"
 
 namespace {
 
@@ -95,6 +97,18 @@ TEST(SessionSpec, SetupHashCoversStructuralFields) {
 TEST(SessionSpec, DeserializeRejectsGarbage) {
   std::vector<std::byte> junk(7, std::byte{0x5A});
   EXPECT_THROW(serve::SessionSpec::deserialize(junk), std::runtime_error);
+}
+
+TEST(SessionSpec, DeserializeRejectsVersion5Blob) {
+  // Version 6 dropped a FlowConfig field; a version-5 blob must be refused,
+  // not decoded with every later field shifted.
+  auto bytes = tiny_spec().serialize();
+  util::ByteWriter w;
+  w.put_u16(5);
+  const auto v5 = w.take();
+  ASSERT_GE(bytes.size(), v5.size());
+  std::copy(v5.begin(), v5.end(), bytes.begin());
+  EXPECT_THROW(serve::SessionSpec::deserialize(bytes), std::runtime_error);
 }
 
 TEST(SessionSpec, CoupledConfigForcesUnpipelined) {
