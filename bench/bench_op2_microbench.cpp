@@ -13,6 +13,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.hpp"
@@ -121,6 +122,48 @@ void BM_ParLoopIndirectInc(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * f.mesh.nface);
 }
 BENCHMARK(BM_ParLoopIndirectInc)->Arg(1)->Arg(2)->Arg(4);
+
+// The face kernel of BM_ParLoopIndirectInc, kept out of line as GCC keeps
+// hydra's large face kernels at -O2: the executor then resolves every bound
+// argument (map load, pointer computation, spill) per element, whether the
+// body reads it or not.
+struct DeadArgFlux {
+  template <class... Dead>
+  [[gnu::noinline]] void operator()(const double* a, const double* b, double* ra, double* rb,
+                                    Dead...) const {
+    const double fl = 0.5 * (*a + *b);
+    *ra += fl;
+    *rb -= fl;
+  }
+};
+
+template <std::size_t... I>
+void dead_arg_flux(LoopFixture& f, std::index_sequence<I...>) {
+  op2::par_loop("flux_dead", f.faces, DeadArgFlux{}, op2::read(f.x, f.f2c, 0),
+                op2::read(f.x, f.f2c, 1), op2::inc(f.res, f.f2c, 0), op2::inc(f.res, f.f2c, 1),
+                op2::read(f.x, f.f2c, static_cast<int>(I % 2))...);
+}
+
+// Cost of unread arguments: the indirect face loop above with 0, 4 or 11
+// extra indirect reads its kernel never touches (11 is what hydra's
+// flux_face bound for the first-order inviscid scheme before it bound only
+// its terms' dats). (time(n) - time(0)) / n / faces is the per-argument,
+// per-element cost.
+void BM_ParLoopDeadArgs(benchmark::State& state) {
+  LoopFixture f(2);
+  op2::par_loop("zero", f.cells, [](double* v) { *v = 0.0; }, op2::write(f.res));
+  for (auto _ : state) {
+    switch (state.range(0)) {
+      case 0: dead_arg_flux(f, std::make_index_sequence<0>{}); break;
+      case 4: dead_arg_flux(f, std::make_index_sequence<4>{}); break;
+      default: dead_arg_flux(f, std::make_index_sequence<11>{}); break;
+    }
+    benchmark::DoNotOptimize(f.res.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * f.mesh.nface);
+}
+BENCHMARK(BM_ParLoopDeadArgs)->Arg(0)->Arg(4)->Arg(11);
 
 void BM_ColoringBuild(benchmark::State& state) {
   const auto mesh = bench_mesh(static_cast<int>(state.range(0)));

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <numeric>
 #include <stdexcept>
+#include <tuple>
 
 #include "src/op2/io.hpp"
 #include "src/util/log.hpp"
@@ -27,6 +28,121 @@ const char* group_tag(BoundaryGroup g) {
     case BoundaryGroup::Casing: return "casing";
   }
   return "?";
+}
+
+/// Constants of the interior-face flux, captured by value.
+struct FaceFluxCoeffs {
+  double gamma, mu_l, cp, k_lam, pr_t, sa_sigma, cv1;
+  bool use_roe;  ///< Roe or Rusanov: a runtime branch, it binds nothing extra
+};
+
+/// Interior-face flux: Rusanov or Roe convection (on MUSCL-reconstructed
+/// states when kMuscl), SA upwind convection, and — when kViscous —
+/// viscous stresses with SA eddy viscosity and SA diffusion, all in one
+/// sweep: the canonical indirect-increment motif at Hydra's arithmetic
+/// intensity. Each instantiation binds only what its terms read, because
+/// an out-of-line kernel call pays per element for every bound argument,
+/// read or not (DESIGN.md §10). The arguments are the core ones, then the
+/// MUSCL ones (gradq×2, lim×2, cc×2, fcent), then the viscous ones
+/// (gradp×2, gradnut×2).
+template <bool kMuscl, bool kViscous>
+struct FaceFlux : FaceFluxCoeffs {
+  template <class... Terms>
+  void operator()(const double* ql, const double* qr, const double* nl, const double* nr_,
+                  const double* area, double* rl, double* rr, double* sl, double* sr,
+                  Terms... terms) const {
+    constexpr std::size_t kV = kMuscl ? 7 : 0;  // first viscous term argument
+    static_assert(sizeof...(Terms) == kV + (kViscous ? 4 : 0));
+    [[maybe_unused]] const std::array<const double*, sizeof...(Terms)> t{terms...};
+    double qL[kNState], qR[kNState];
+    for (int s = 0; s < kNState; ++s) {
+      qL[s] = ql[s];
+      qR[s] = qr[s];
+    }
+    if constexpr (kMuscl) {
+      const double* fc = t[6];
+      auto reconstruct = [&](const double* q, const double* gq, const double* lm,
+                             const double* cc, double* out) {
+        const double dx = fc[0] - cc[0], dy = fc[1] - cc[1], dz = fc[2] - cc[2];
+        for (int s = 0; s < kNState; ++s) {
+          out[s] = q[s] + lm[s] * (gq[s * 3] * dx + gq[s * 3 + 1] * dy + gq[s * 3 + 2] * dz);
+        }
+        // Positivity guard: fall back to first order on bad states.
+        if (out[0] < 0.05 * q[0] || pressure(out, gamma) <= 0.0) {
+          for (int s = 0; s < kNState; ++s) out[s] = q[s];
+        }
+      };
+      reconstruct(ql, t[0], t[2], t[4], qL);
+      reconstruct(qr, t[1], t[3], t[5], qR);
+    }
+    double f[kNState];
+    if (use_roe) {
+      roe_flux(qL, qR, area, gamma, f);
+    } else {
+      rusanov_flux(qL, qR, area, gamma, f);
+    }
+    for (int s = 0; s < kNState; ++s) {
+      rl[s] -= f[s];
+      rr[s] += f[s];
+    }
+    // SA convection, upwinded on the face-average volume flux.
+    const double unl = (ql[1] * area[0] + ql[2] * area[1] + ql[3] * area[2]) / ql[0];
+    const double unr = (qr[1] * area[0] + qr[2] * area[1] + qr[3] * area[2]) / qr[0];
+    const double un = 0.5 * (unl + unr);
+    const double fsa = un > 0 ? un * *nl : un * *nr_;
+    *sl -= fsa;
+    *sr += fsa;
+
+    if constexpr (kViscous) {
+      const double *gpl = t[kV], *gpr = t[kV + 1], *gnl = t[kV + 2], *gnr = t[kV + 3];
+      const double rho = 0.5 * (ql[0] + qr[0]);
+      const double nu_l = mu_l / rho;
+      const double nut_f = 0.5 * (*nl + *nr_);
+      const double mu_t = rho * nut_f * sa_fv1(nut_f / nu_l, cv1);
+      const double mu = mu_l + mu_t;
+      // Averaged primitive gradients: rows u, v, w, T.
+      double g[4][3];
+      for (int v = 0; v < 4; ++v) {
+        for (int d = 0; d < 3; ++d) g[v][d] = 0.5 * (gpl[v * 3 + d] + gpr[v * 3 + d]);
+      }
+      const double div = g[0][0] + g[1][1] + g[2][2];
+      double fm[3];
+      for (int i = 0; i < 3; ++i) {
+        fm[i] = 0.0;
+        for (int j = 0; j < 3; ++j) {
+          double tau = mu * (g[i][j] + g[j][i]);
+          if (i == j) tau -= (2.0 / 3.0) * mu * div;
+          fm[i] += tau * area[j];
+        }
+      }
+      const double uf[3] = {0.5 * (ql[1] / ql[0] + qr[1] / qr[0]),
+                            0.5 * (ql[2] / ql[0] + qr[2] / qr[0]),
+                            0.5 * (ql[3] / ql[0] + qr[3] / qr[0])};
+      const double k_eff = k_lam + cp * mu_t / pr_t;
+      double fe = k_eff * (g[3][0] * area[0] + g[3][1] * area[1] + g[3][2] * area[2]);
+      for (int i = 0; i < 3; ++i) fe += uf[i] * fm[i];
+      for (int i = 0; i < 3; ++i) {
+        rl[1 + i] += fm[i];
+        rr[1 + i] -= fm[i];
+      }
+      rl[4] += fe;
+      rr[4] -= fe;
+      // SA diffusion: (nu + nu_tilde)/sigma * grad(nu_tilde) . A.
+      const double dn = ((nu_l + nut_f) / sa_sigma) *
+                        (0.5 * (gnl[0] + gnr[0]) * area[0] + 0.5 * (gnl[1] + gnr[1]) * area[1] +
+                         0.5 * (gnl[2] + gnr[2]) * area[2]);
+      *sl += dn;
+      *sr -= dn;
+    }
+  }
+};
+
+/// Adds a chain member whose arguments arrive as a tuple, so a caller can
+/// assemble them from the terms its configuration reads.
+template <class Kernel, class Args>
+void add_member(op2::LoopChain& chain, const std::string& name, const op2::Set& set,
+                Kernel kernel, const Args& args) {
+  std::apply([&](const auto&... a) { chain.add(name.c_str(), set, kernel, a...); }, args);
 }
 }  // namespace
 
@@ -467,120 +583,40 @@ void RowSolver::declare_residual(op2::LoopChain& chain) {
     }
   }
 
-  // --- interior face fluxes --------------------------------------------------
-  // Rusanov convection (optionally on MUSCL-reconstructed states), SA upwind
-  // convection, and — when enabled — viscous stresses with SA eddy
-  // viscosity and SA diffusion, all in one sweep: the canonical
-  // indirect-increment motif at Hydra's arithmetic intensity.
+  // --- interior face fluxes (FaceFlux above) ----------------------------------
   {
-    const bool second_order = cfg_.second_order;
-    const bool viscous = cfg_.viscous;
-    const bool use_roe = cfg_.flux_scheme == FlowConfig::FluxScheme::Roe;
-    const double mu_l = cfg_.mu_laminar;
+    const std::string name = pfx_ + "flux_face";
     const double cp = cfg_.cp();
-    const double k_lam = cp * cfg_.mu_laminar / cfg_.prandtl;
-    const double pr_t = cfg_.prandtl_turb;
-    const double sa_sigma = cfg_.sa_sigma;
-    const double cv1 = cfg_.sa_cv1;
-    chain.add((pfx_ + "flux_face").c_str(), *faces_,
-        [gamma, second_order, viscous, use_roe, mu_l, cp, k_lam, pr_t, sa_sigma, cv1](
-            const double* ql, const double* qr, const double* nl, const double* nr_,
-            const double* gql, const double* gqr, const double* gpl, const double* gpr,
-            const double* gnl, const double* gnr, const double* lml, const double* lmr,
-            const double* ccl, const double* ccr, const double* area, const double* fc,
-            double* rl, double* rr, double* sl, double* sr) {
-          double qL[kNState], qR[kNState];
-          for (int s = 0; s < kNState; ++s) {
-            qL[s] = ql[s];
-            qR[s] = qr[s];
-          }
-          if (second_order) {
-            auto reconstruct = [&](const double* q, const double* gq, const double* lm,
-                                   const double* cc, double* out) {
-              const double dx = fc[0] - cc[0], dy = fc[1] - cc[1], dz = fc[2] - cc[2];
-              for (int s = 0; s < kNState; ++s) {
-                out[s] = q[s] + lm[s] * (gq[s * 3] * dx + gq[s * 3 + 1] * dy +
-                                         gq[s * 3 + 2] * dz);
-              }
-              // Positivity guard: fall back to first order on bad states.
-              if (out[0] < 0.05 * q[0] || pressure(out, gamma) <= 0.0) {
-                for (int s = 0; s < kNState; ++s) out[s] = q[s];
-              }
-            };
-            reconstruct(ql, gql, lml, ccl, qL);
-            reconstruct(qr, gqr, lmr, ccr, qR);
-          }
-          double f[kNState];
-          if (use_roe) {
-            roe_flux(qL, qR, area, gamma, f);
-          } else {
-            rusanov_flux(qL, qR, area, gamma, f);
-          }
-          for (int s = 0; s < kNState; ++s) {
-            rl[s] -= f[s];
-            rr[s] += f[s];
-          }
-          // SA convection, upwinded on the face-average volume flux.
-          const double unl = (ql[1] * area[0] + ql[2] * area[1] + ql[3] * area[2]) / ql[0];
-          const double unr = (qr[1] * area[0] + qr[2] * area[1] + qr[3] * area[2]) / qr[0];
-          const double un = 0.5 * (unl + unr);
-          const double fsa = un > 0 ? un * *nl : un * *nr_;
-          *sl -= fsa;
-          *sr += fsa;
-
-          if (viscous) {
-            const double rho = 0.5 * (ql[0] + qr[0]);
-            const double nu_l = mu_l / rho;
-            const double nut_f = 0.5 * (*nl + *nr_);
-            const double mu_t = rho * nut_f * sa_fv1(nut_f / nu_l, cv1);
-            const double mu = mu_l + mu_t;
-            // Averaged primitive gradients: rows u, v, w, T.
-            double g[4][3];
-            for (int v = 0; v < 4; ++v) {
-              for (int d = 0; d < 3; ++d) g[v][d] = 0.5 * (gpl[v * 3 + d] + gpr[v * 3 + d]);
-            }
-            const double div = g[0][0] + g[1][1] + g[2][2];
-            double fm[3];
-            for (int i = 0; i < 3; ++i) {
-              fm[i] = 0.0;
-              for (int j = 0; j < 3; ++j) {
-                double tau = mu * (g[i][j] + g[j][i]);
-                if (i == j) tau -= (2.0 / 3.0) * mu * div;
-                fm[i] += tau * area[j];
-              }
-            }
-            const double uf[3] = {0.5 * (ql[1] / ql[0] + qr[1] / qr[0]),
-                                  0.5 * (ql[2] / ql[0] + qr[2] / qr[0]),
-                                  0.5 * (ql[3] / ql[0] + qr[3] / qr[0])};
-            const double k_eff = k_lam + cp * mu_t / pr_t;
-            double fe = k_eff * (g[3][0] * area[0] + g[3][1] * area[1] + g[3][2] * area[2]);
-            for (int i = 0; i < 3; ++i) fe += uf[i] * fm[i];
-            for (int i = 0; i < 3; ++i) {
-              rl[1 + i] += fm[i];
-              rr[1 + i] -= fm[i];
-            }
-            rl[4] += fe;
-            rr[4] -= fe;
-            // SA diffusion: (nu + nu_tilde)/sigma * grad(nu_tilde) . A.
-            const double dn = ((nu_l + nut_f) / sa_sigma) *
-                              (0.5 * (gnl[0] + gnr[0]) * area[0] +
-                               0.5 * (gnl[1] + gnr[1]) * area[1] +
-                               0.5 * (gnl[2] + gnr[2]) * area[2]);
-            *sl += dn;
-            *sr -= dn;
-          }
-        },
-        op2::read(*q_, *f2c_, 0), op2::read(*q_, *f2c_, 1),
-        op2::read(*nut_, *f2c_, 0), op2::read(*nut_, *f2c_, 1),
-        op2::read(*gradq_, *f2c_, 0), op2::read(*gradq_, *f2c_, 1),
-        op2::read(*gradp_, *f2c_, 0), op2::read(*gradp_, *f2c_, 1),
-        op2::read(*gradnut_, *f2c_, 0),
-        op2::read(*gradnut_, *f2c_, 1), op2::read(*lim_, *f2c_, 0),
-        op2::read(*lim_, *f2c_, 1), op2::read(*cc_, *f2c_, 0),
-        op2::read(*cc_, *f2c_, 1), op2::read(*fnorm_),
-        op2::read(*fcent_), op2::inc(*res_, *f2c_, 0),
+    const FaceFluxCoeffs c{gamma,
+                           cfg_.mu_laminar,
+                           cp,
+                           cp * cfg_.mu_laminar / cfg_.prandtl,
+                           cfg_.prandtl_turb,
+                           cfg_.sa_sigma,
+                           cfg_.sa_cv1,
+                           cfg_.flux_scheme == FlowConfig::FluxScheme::Roe};
+    const auto core = std::make_tuple(
+        op2::read(*q_, *f2c_, 0), op2::read(*q_, *f2c_, 1), op2::read(*nut_, *f2c_, 0),
+        op2::read(*nut_, *f2c_, 1), op2::read(*fnorm_), op2::inc(*res_, *f2c_, 0),
         op2::inc(*res_, *f2c_, 1), op2::inc(*nut_res_, *f2c_, 0),
         op2::inc(*nut_res_, *f2c_, 1));
+    const auto muscl = std::make_tuple(
+        op2::read(*gradq_, *f2c_, 0), op2::read(*gradq_, *f2c_, 1), op2::read(*lim_, *f2c_, 0),
+        op2::read(*lim_, *f2c_, 1), op2::read(*cc_, *f2c_, 0), op2::read(*cc_, *f2c_, 1),
+        op2::read(*fcent_));
+    const auto visc =
+        std::make_tuple(op2::read(*gradp_, *f2c_, 0), op2::read(*gradp_, *f2c_, 1),
+                        op2::read(*gradnut_, *f2c_, 0), op2::read(*gradnut_, *f2c_, 1));
+    if (cfg_.second_order && cfg_.viscous) {
+      add_member(chain, name, *faces_, FaceFlux<true, true>{c},
+                 std::tuple_cat(core, muscl, visc));
+    } else if (cfg_.second_order) {
+      add_member(chain, name, *faces_, FaceFlux<true, false>{c}, std::tuple_cat(core, muscl));
+    } else if (cfg_.viscous) {
+      add_member(chain, name, *faces_, FaceFlux<false, true>{c}, std::tuple_cat(core, visc));
+    } else {
+      add_member(chain, name, *faces_, FaceFlux<false, false>{c}, core);
+    }
   }
 
   // Physical total-condition inlet (subsonic characteristic treatment):
@@ -662,41 +698,47 @@ void RowSolver::declare_residual(op2::LoopChain& chain) {
 
   // Walls (hub/casing): pressure force always; with viscous no-slip walls
   // an additional wall-shear drag -mu_eff * u_parallel / d per unit area
-  // (wall-distance based, adiabatic).
+  // (wall-distance based, adiabatic). Only the no-slip member binds nut and
+  // the wall distance, the two reads of the shear term.
   {
-    const bool no_slip = cfg_.viscous && cfg_.no_slip_walls;
     const double mu_l = cfg_.mu_laminar;
     const double cv1 = cfg_.sa_cv1;
+    const auto wall_flux = [gamma, mu_l, cv1](const double* q, const double* area, double* r,
+                                              auto... shear) {
+      const double p = pressure(q, gamma);
+      r[1] -= p * area[0];
+      r[2] -= p * area[1];
+      r[3] -= p * area[2];
+      if constexpr (sizeof...(shear) == 2) {
+        const auto [nut, dist] = std::array<const double*, 2>{shear...};
+        const double amag =
+            std::sqrt(area[0] * area[0] + area[1] * area[1] + area[2] * area[2]);
+        const double nx = area[0] / amag, ny = area[1] / amag, nz = area[2] / amag;
+        const double u = q[1] / q[0], v = q[2] / q[0], w = q[3] / q[0];
+        const double un = u * nx + v * ny + w * nz;
+        const double up[3] = {u - un * nx, v - un * ny, w - un * nz};
+        const double nu_l = mu_l / q[0];
+        const double mu_eff = mu_l + q[0] * *nut * sa_fv1(*nut / nu_l, cv1);
+        const double coeff = mu_eff * amag / *dist;
+        r[1] -= coeff * up[0];
+        r[2] -= coeff * up[1];
+        r[3] -= coeff * up[2];
+        // Adiabatic wall: no energy flux (the shear does no work on a
+        // stationary wall).
+      }
+    };
     for (const auto group : {BoundaryGroup::Hub, BoundaryGroup::Casing}) {
-      chain.add((pfx_ + group_tag(group) + "_flux").c_str(), *bsets_[gi(group)],
-          [gamma, no_slip, mu_l, cv1](const double* q, const double* nut,
-                                      const double* dist, const double* area, double* r) {
-            const double p = pressure(q, gamma);
-            r[1] -= p * area[0];
-            r[2] -= p * area[1];
-            r[3] -= p * area[2];
-            if (no_slip) {
-              const double amag =
-                  std::sqrt(area[0] * area[0] + area[1] * area[1] + area[2] * area[2]);
-              const double nx = area[0] / amag, ny = area[1] / amag, nz = area[2] / amag;
-              const double u = q[1] / q[0], v = q[2] / q[0], w = q[3] / q[0];
-              const double un = u * nx + v * ny + w * nz;
-              const double up[3] = {u - un * nx, v - un * ny, w - un * nz};
-              const double nu_l = mu_l / q[0];
-              const double mu_eff = mu_l + q[0] * *nut * sa_fv1(*nut / nu_l, cv1);
-              const double coeff = mu_eff * amag / *dist;
-              r[1] -= coeff * up[0];
-              r[2] -= coeff * up[1];
-              r[3] -= coeff * up[2];
-              // Adiabatic wall: no energy flux (the shear does no work on a
-              // stationary wall).
-            }
-          },
-          op2::read(*q_, *b2c_[gi(group)], 0),
-          op2::read(*nut_, *b2c_[gi(group)], 0),
-          op2::read(*wdist_, *b2c_[gi(group)], 0),
-          op2::read(*bnorm_[gi(group)]),
-          op2::inc(*res_, *b2c_[gi(group)], 0));
+      const op2::Map& b2c = *b2c_[gi(group)];
+      const std::string name = pfx_ + group_tag(group) + "_flux";
+      const auto core = std::make_tuple(op2::read(*q_, b2c, 0), op2::read(*bnorm_[gi(group)]),
+                                        op2::inc(*res_, b2c, 0));
+      if (cfg_.viscous && cfg_.no_slip_walls) {
+        add_member(chain, name, *bsets_[gi(group)], wall_flux,
+                   std::tuple_cat(core, std::make_tuple(op2::read(*nut_, b2c, 0),
+                                                        op2::read(*wdist_, b2c, 0))));
+      } else {
+        add_member(chain, name, *bsets_[gi(group)], wall_flux, core);
+      }
     }
   }
 

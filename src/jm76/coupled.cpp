@@ -199,19 +199,21 @@ std::shared_ptr<const rig::AnnulusMesh> CoupledRig::row_mesh(int row) const {
   // Mesh generation is deterministic from (row spec, resolution), both
   // covered by the spec hash — every rank that needs row `row`'s mesh (its
   // HS ranks and the adjacent interfaces' CUs) shares one immutable copy.
-  // Lookup is local (no collective needed: a miss just regenerates).
+  // Single-flight: concurrent ranks of a cold session wait for the first
+  // builder instead of each generating the mesh. Generation is local, so
+  // the wait never spans a collective.
   const std::string key = util::fmt("mesh:{}:row{}", cfg_.spec_hash, row);
-  if (auto hit = cfg_.plan_cache->lookup_as<rig::AnnulusMesh>(key)) return hit;
-  auto mesh = std::make_shared<const rig::AnnulusMesh>(rig::generate_row_mesh(spec, cfg_.res));
-  const std::size_t bytes =
-      (mesh->face2cell.size() + mesh->bface2cell.size()) * sizeof(index_t) +
-      (mesh->cell_center.size() + mesh->cell_vol.size() + mesh->cell_rtheta.size() +
-       mesh->face_normal.size() + mesh->face_center.size() + mesh->bface_normal.size() +
-       mesh->bface_center.size() + mesh->bface_rtheta.size()) *
-          sizeof(double) +
-      mesh->bface_group.size() * sizeof(int) + 256;
-  cfg_.plan_cache->insert_value(key, mesh, bytes);
-  return mesh;
+  return cfg_.plan_cache->get_or_build_as<rig::AnnulusMesh>(key, [&] {
+    auto mesh = std::make_shared<const rig::AnnulusMesh>(rig::generate_row_mesh(spec, cfg_.res));
+    const std::size_t bytes =
+        (mesh->face2cell.size() + mesh->bface2cell.size()) * sizeof(index_t) +
+        (mesh->cell_center.size() + mesh->cell_vol.size() + mesh->cell_rtheta.size() +
+         mesh->face_normal.size() + mesh->face_center.size() + mesh->bface_normal.size() +
+         mesh->bface_center.size() + mesh->bface_rtheta.size()) *
+            sizeof(double) +
+        mesh->bface_group.size() * sizeof(int) + 256;
+    return std::pair{mesh, bytes};
+  });
 }
 
 CoupledRig::~CoupledRig() = default;

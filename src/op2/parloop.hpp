@@ -834,7 +834,8 @@ void par_loop(const char* name, const Set& set, Kernel&& kernel, As... as) {
 // with Config::chain_tile = 0 every member does (the eager reference).
 class LoopChain {
  public:
-  LoopChain(Context& ctx, std::string name) : ctx_(ctx), name_(std::move(name)) {}
+  LoopChain(Context& ctx, std::string name)
+      : ctx_(ctx), name_(std::move(name)), span_name_("chain:" + name_) {}
   LoopChain(const LoopChain&) = delete;
   LoopChain& operator=(const LoopChain&) = delete;
 
@@ -887,7 +888,7 @@ class LoopChain {
     if (decls_.empty()) return;
     if (!plan_) plan_ = &ctx_.get_chain_plan(name_, decls_);
     ChainPlan& plan = *plan_;
-    trace::Span tspan("chain:" + name_);
+    trace::Span tspan(span_name_.c_str());
     if (tspan.active()) {
       tspan.arg("members", static_cast<double>(plan.members.size()));
       tspan.arg("segments", static_cast<double>(plan.segments.size()));
@@ -973,6 +974,7 @@ class LoopChain {
 
   Context& ctx_;
   std::string name_;
+  std::string span_name_;  ///< "chain:<name>", built once
   std::vector<ChainLoopDecl> decls_;
   std::vector<Member> members_;
   ChainPlan* plan_ = nullptr;  ///< owned by the context, set by execute()

@@ -24,8 +24,11 @@
 // Values are immutable once inserted (shared_ptr<const T>), so readers on
 // worker threads share them without copying; eviction only drops the
 // cache's reference.
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -71,6 +74,32 @@ class PlanCache {
     insert(key, std::static_pointer_cast<const void>(std::move(value)), bytes);
   }
 
+  /// What a get_or_build builder returns: the artifact and its resident-size
+  /// estimate.
+  struct Built {
+    std::shared_ptr<const void> value;
+    std::size_t bytes = 0;
+  };
+
+  /// Single-flight lookup: returns the entry, or runs `build` and inserts its
+  /// result. Concurrent callers of a key under construction wait for the
+  /// first builder instead of building it again, so each artifact is built
+  /// once: the builder counts one miss, every other caller that gets the
+  /// value a hit. When the builder throws, its exception reaches the waiters
+  /// too and nothing is cached (a later call builds afresh). `build` must not
+  /// wait on another rank: waiters block their thread until it returns.
+  std::shared_ptr<const void> get_or_build(const std::string& key,
+                                           const std::function<Built()>& build);
+
+  /// Typed get_or_build: `build` returns {shared_ptr<const T>, bytes}.
+  template <class T, class Build>
+  std::shared_ptr<const T> get_or_build_as(const std::string& key, Build&& build) {
+    return std::static_pointer_cast<const T>(get_or_build(key, [&]() -> Built {
+      auto [value, bytes] = build();
+      return {std::static_pointer_cast<const void>(std::move(value)), bytes};
+    }));
+  }
+
   /// Peek without bumping recency (tests / metrics).
   [[nodiscard]] bool contains(const std::string& key) const;
 
@@ -87,9 +116,21 @@ class PlanCache {
     std::size_t bytes = 0;
   };
 
+  /// A key under construction by get_or_build.
+  struct Flight {
+    bool done = false;
+    std::shared_ptr<const void> value;
+    std::exception_ptr error;
+  };
+
+  std::shared_ptr<const void> hit_locked(const std::string& key);
+  void insert_locked(const std::string& key, std::shared_ptr<const void> value,
+                     std::size_t bytes);
   void evict_locked();
 
   mutable std::mutex mutex_;
+  std::condition_variable landed_;  ///< a Flight finished
+  std::unordered_map<std::string, std::shared_ptr<Flight>> flights_;
   std::size_t max_bytes_;
   /// MRU at front; the map holds iterators into the list.
   std::list<Entry> lru_;

@@ -180,11 +180,9 @@ std::uint64_t dropped() {
   return total;
 }
 
-Span::Span(const char* name) : Span(std::string(name)) {}
-
-Span::Span(std::string name) {
+Span::Span(const char* name) {
   if (!enabled()) return;
-  name_ = std::move(name);
+  name_ = name;
   begin_ns_ = now_ns();
   active_ = true;
   ++recorder().depth;

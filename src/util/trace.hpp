@@ -93,8 +93,8 @@ void set_track(int track);
 /// on unwind).
 class Span {
  public:
+  /// The name is copied only when tracing is enabled.
   explicit Span(const char* name);
-  explicit Span(std::string name);
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;

@@ -298,6 +298,45 @@ TEST(HydraSolver, BoundaryExchangeLayoutAgnostic) {
   }
 }
 
+// A member binds only what its configured terms read: an unread argument
+// still costs a map load and a pointer per element (DESIGN.md §10).
+// flux_face: 9 core arguments, +7 for MUSCL, +4 for viscous terms; the
+// wall fluxes bind nut and the wall distance only for no-slip walls.
+TEST(HydraFlux, MembersBindOnlyWhatTheirTermsRead) {
+  for (const bool muscl : {false, true}) {
+    for (const bool viscous : {false, true}) {
+      for (const bool no_slip : {false, true}) {
+        op2::Context ctx;
+        const auto row = quiet_row();
+        const auto mesh = rig::generate_row_mesh(row, {3, 3, 8});
+        FlowConfig cfg = quiet_config();
+        cfg.second_order = muscl;
+        cfg.viscous = viscous;
+        cfg.no_slip_walls = no_slip;
+        RowSolver solver(ctx, mesh, row, 0.0, cfg);
+        ctx.partition(op2::Partitioner::Rcb, solver.cell_center());
+        solver.initialize();
+        solver.inner_iteration();  // the step chain's plan is built on first execute
+
+        const op2::ChainPlan* plan = ctx.find_chain("T:step");
+        ASSERT_NE(plan, nullptr);
+        const auto nargs = [&](const std::string& name) -> long {
+          for (const auto& m : plan->members) {
+            if (m.name == name) return static_cast<long>(m.args.size());
+          }
+          return -1;
+        };
+        SCOPED_TRACE(testing::Message() << "muscl=" << muscl << " viscous=" << viscous
+                                        << " no_slip=" << no_slip);
+        EXPECT_EQ(nargs("T:flux_face"), 9 + (muscl ? 7 : 0) + (viscous ? 4 : 0));
+        const long wall = viscous && no_slip ? 5 : 3;
+        EXPECT_EQ(nargs("T:hub_flux"), wall);
+        EXPECT_EQ(nargs("T:casing_flux"), wall);
+      }
+    }
+  }
+}
+
 TEST(HydraSolver, SetCoupledValidation) {
   op2::Context ctx;
   const auto row = quiet_row();

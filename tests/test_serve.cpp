@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "src/minimpi/pool.hpp"
@@ -16,6 +18,7 @@
 #include "src/serve/session_spec.hpp"
 #include "src/serve/storm.hpp"
 #include "src/util/bytes.hpp"
+#include "src/util/fmt.hpp"
 
 namespace {
 
@@ -352,6 +355,110 @@ TEST(PlanCache, LruEvictionUnderMemoryCap) {
   EXPECT_FALSE(cache.contains("giant"));
 }
 
+// Concurrent callers of one key: the builder runs once, the first caller
+// books the miss and every other caller a hit, whether it waited for the
+// build or arrived after it.
+TEST(PlanCache, GetOrBuildIsSingleFlight) {
+  op2::PlanCache cache;
+  constexpr int kCallers = 6;
+  std::atomic<int> builds{0};
+  std::atomic<int> arrived{0};
+  std::vector<std::shared_ptr<const int>> got(kCallers);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kCallers; ++i) {
+    threads.emplace_back([&, i] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kCallers) std::this_thread::yield();
+      got[static_cast<std::size_t>(i)] = cache.get_or_build_as<int>("k", [&] {
+        builds.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return std::pair{std::make_shared<const int>(42), std::size_t{8}};
+      });
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(builds.load(), 1);
+  for (const auto& v : got) {
+    ASSERT_NE(v, nullptr);
+    EXPECT_EQ(v.get(), got[0].get());  // one shared artifact
+  }
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(kCallers - 1));
+  EXPECT_EQ(stats.insertions, 1u);
+}
+
+// A throwing builder: a caller that waits on it gets the same exception,
+// nothing is cached, and the next call builds afresh. The builder holds
+// the key long enough (200 ms) for the second caller to be waiting.
+TEST(PlanCache, GetOrBuildFailureReachesWaitersAndCachesNothing) {
+  op2::PlanCache cache;
+  std::atomic<bool> building{false};
+  std::atomic<int> builds{0};
+  const auto failing = [&]() -> std::pair<std::shared_ptr<const int>, std::size_t> {
+    builds.fetch_add(1);
+    building.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    throw std::runtime_error("mesh generation failed");
+  };
+  std::string builder_error, waiter_error;
+  std::thread builder([&] {
+    try {
+      (void)cache.get_or_build_as<int>("k", failing);
+    } catch (const std::runtime_error& e) {
+      builder_error = e.what();
+    }
+  });
+  while (!building.load()) std::this_thread::yield();
+  try {
+    (void)cache.get_or_build_as<int>("k", failing);
+  } catch (const std::runtime_error& e) {
+    // Both callers hold the one exception object. Join the builder before
+    // reading it here, so its release happens-before this read and the
+    // final free in a way ThreadSanitizer can see (libstdc++'s exception
+    // refcount is not instrumented).
+    builder.join();
+    waiter_error = e.what();
+  }
+  if (builder.joinable()) builder.join();
+  EXPECT_EQ(builds.load(), 1);
+  EXPECT_EQ(builder_error, "mesh generation failed");
+  EXPECT_EQ(waiter_error, "mesh generation failed");
+  EXPECT_FALSE(cache.contains("k"));
+  EXPECT_EQ(cache.stats().insertions, 0u);
+
+  const auto v = cache.get_or_build_as<int>(
+      "k", [] { return std::pair{std::make_shared<const int>(7), std::size_t{8}}; });
+  EXPECT_EQ(*v, 7);
+  EXPECT_TRUE(cache.contains("k"));
+}
+
+// A cold two-row session on a fresh cache: each row mesh is needed by the
+// row's two HS ranks and by both CUs of the interface, and built once.
+// The counts are exact: per row mesh one miss and three hits, plus one
+// owner-partition miss and one plan-snapshot miss per HS rank (the cold
+// path looks both up on every rank before anyone inserts).
+TEST(PlanCache, ColdSessionBuildsEachRowMeshOnce) {
+  auto spec = tiny_spec(/*ranks_per_row=*/2, /*nrows=*/2);
+  spec.cus_per_interface = 2;
+  spec.nsteps = 1;
+  serve::Server server;
+  const auto ticket = server.submit(spec);
+  ASSERT_TRUE(ticket.accepted) << ticket.reason;
+  const auto oc = server.wait(ticket.job_id);
+  ASSERT_TRUE(oc.ok) << oc.error;
+  EXPECT_FALSE(oc.warm);
+
+  const auto& cache = server.plan_cache();
+  for (int row = 0; row < 2; ++row) {
+    EXPECT_TRUE(cache.contains(util::fmt("mesh:{}:row{}", spec.setup_hash(), row)));
+  }
+  const auto stats = cache.stats();
+  constexpr std::uint64_t kRows = 2, kHsRanks = 4, kCallersPerMesh = 2 + 2;
+  EXPECT_EQ(stats.misses, kRows + 2 * kHsRanks);
+  EXPECT_EQ(stats.hits, kRows * (kCallersPerMesh - 1));
+}
+
 // The satellite-4 identity matrix: a cache-fed build must be bit-identical
 // to the cold build, across serial/2-rank worlds and AoS/SoA layouts. The
 // monitors in the step frames (residual rms, mass flows, mean pressure,
@@ -427,7 +534,12 @@ TEST(ServeServer, BoundedQueueRejectsWithRetryAfter) {
   opts.queue_capacity = 1;
   serve::Server server(opts);
   const auto spec = tiny_spec();
-  const auto first = server.submit(spec);
+  // The first job must still be running at the second submit. A 2-step
+  // tiny job can finish in the gap between the two calls when the
+  // submitting thread is descheduled, so it runs long enough not to.
+  auto slow = spec;
+  slow.nsteps = 200;
+  const auto first = server.submit(slow);
   ASSERT_TRUE(first.accepted);
   // The first job is outstanding: the bounded queue must reject, not queue.
   const auto second = server.submit(spec);
