@@ -124,9 +124,11 @@ void BM_ParLoopIndirectInc(benchmark::State& state) {
 BENCHMARK(BM_ParLoopIndirectInc)->Arg(1)->Arg(2)->Arg(4);
 
 // The face kernel of BM_ParLoopIndirectInc, kept out of line as GCC keeps
-// hydra's large face kernels at -O2: the executor then resolves every bound
-// argument (map load, pointer computation, spill) per element, whether the
-// body reads it or not.
+// hydra's large face kernels at -O2. With op2's per-element argument
+// helpers inlined, GCC clones the body without its unread parameters
+// (IPA-SRA, `.isra` in nm) and drops their map loads and pointers; while
+// the helpers were out of line, each bound argument cost a call per
+// element, read or not.
 struct DeadArgFlux {
   template <class... Dead>
   [[gnu::noinline]] void operator()(const double* a, const double* b, double* ra, double* rb,

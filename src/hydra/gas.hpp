@@ -21,14 +21,28 @@ inline double sound_speed(const double* q, double gamma) {
   return std::sqrt(std::max(1e-12, gamma * p / q[0]));
 }
 
-/// Euler flux through an area vector A (not normalized), accumulated into
-/// f[5]: f = F(q) . A with F the inviscid flux tensor.
-inline void euler_flux(const double* q, const double* area, double gamma, double* f) {
-  const double rho = q[0];
-  const double u = q[1] / rho, v = q[2] / rho, w = q[3] / rho;
-  const double p = pressure(q, gamma);
-  const double un = u * area[0] + v * area[1] + w * area[2];  // volume flux
-  f[0] = rho * un;
+/// Primitive slots of a state: velocity u, v, w, static pressure p and
+/// sound speed c.
+inline constexpr int kNPrim = 5;
+
+/// The primitives of state q that the convective fluxes read, by the same
+/// expressions as pressure() and sound_speed(), so a flux fed with a
+/// per-cell precomputed copy equals, bit for bit, one fed with primitives
+/// computed at the face.
+inline void primitives(const double* q, double gamma, double* prim) {
+  prim[0] = q[1] / q[0];
+  prim[1] = q[2] / q[0];
+  prim[2] = q[3] / q[0];
+  prim[3] = pressure(q, gamma);
+  prim[4] = std::sqrt(std::max(1e-12, gamma * prim[3] / q[0]));
+}
+
+/// Euler flux of state q (primitives prim) through an area vector A (not
+/// normalized), into f[5]: f = F(q) . A with F the inviscid flux tensor.
+inline void euler_flux(const double* q, const double* prim, const double* area, double* f) {
+  const double p = prim[3];
+  const double un = prim[0] * area[0] + prim[1] * area[1] + prim[2] * area[2];  // volume flux
+  f[0] = q[0] * un;
   f[1] = q[1] * un + p * area[0];
   f[2] = q[2] * un + p * area[1];
   f[3] = q[3] * un + p * area[2];
@@ -36,32 +50,32 @@ inline void euler_flux(const double* q, const double* area, double gamma, double
 }
 
 /// Rusanov (local Lax-Friedrichs) numerical flux through area vector A,
-/// oriented left -> right. Robust and entropy-stable; the dissipation plays
-/// the role of Hydra's JST artificial smoothing at this mesh scale.
-inline void rusanov_flux(const double* ql, const double* qr, const double* area,
-                         double gamma, double* f) {
+/// oriented left -> right, from the states and their primitives(). Robust
+/// and entropy-stable; the dissipation plays the role of Hydra's JST
+/// artificial smoothing at this mesh scale.
+inline void rusanov_flux(const double* ql, const double* priml, const double* qr,
+                         const double* primr, const double* area, double* f) {
   double fl[kNState], fr[kNState];
-  euler_flux(ql, area, gamma, fl);
-  euler_flux(qr, area, gamma, fr);
+  euler_flux(ql, priml, area, fl);
+  euler_flux(qr, primr, area, fr);
   const double amag =
       std::sqrt(area[0] * area[0] + area[1] * area[1] + area[2] * area[2]);
   const double unl =
       (ql[1] * area[0] + ql[2] * area[1] + ql[3] * area[2]) / (ql[0] * std::max(amag, 1e-300));
   const double unr =
       (qr[1] * area[0] + qr[2] * area[1] + qr[3] * area[2]) / (qr[0] * std::max(amag, 1e-300));
-  const double lmax = std::max(std::fabs(unl) + sound_speed(ql, gamma),
-                               std::fabs(unr) + sound_speed(qr, gamma));
+  const double lmax = std::max(std::fabs(unl) + priml[4], std::fabs(unr) + primr[4]);
   for (int s = 0; s < kNState; ++s) {
     f[s] = 0.5 * (fl[s] + fr[s]) - 0.5 * lmax * amag * (qr[s] - ql[s]);
   }
 }
 
 /// Roe approximate Riemann solver with Harten entropy fix, through area
-/// vector A (left -> right). Less dissipative than Rusanov — the scheme
-/// family Hydra's JST/upwind options live in; selected via
-/// FlowConfig::flux_scheme.
-inline void roe_flux(const double* ql, const double* qr, const double* area, double gamma,
-                     double* f) {
+/// vector A (left -> right), from the states and their primitives(). Less
+/// dissipative than Rusanov — the scheme family Hydra's JST/upwind options
+/// live in; selected via FlowConfig::flux_scheme.
+inline void roe_flux(const double* ql, const double* priml, const double* qr,
+                     const double* primr, const double* area, double gamma, double* f) {
   const double amag =
       std::sqrt(area[0] * area[0] + area[1] * area[1] + area[2] * area[2]);
   if (amag < 1e-300) {
@@ -71,9 +85,9 @@ inline void roe_flux(const double* ql, const double* qr, const double* area, dou
   const double nx = area[0] / amag, ny = area[1] / amag, nz = area[2] / amag;
 
   const double rl = ql[0], rr = qr[0];
-  const double ul = ql[1] / rl, vl = ql[2] / rl, wl = ql[3] / rl;
-  const double ur = qr[1] / rr, vr = qr[2] / rr, wr = qr[3] / rr;
-  const double pl = pressure(ql, gamma), pr = pressure(qr, gamma);
+  const double ul = priml[0], vl = priml[1], wl = priml[2];
+  const double ur = primr[0], vr = primr[1], wr = primr[2];
+  const double pl = priml[3], pr = primr[3];
   const double hl = (ql[4] + pl) / rl, hr = (qr[4] + pr) / rr;
 
   // Roe averages.
@@ -134,8 +148,8 @@ inline void roe_flux(const double* ql, const double* qr, const double* area, dou
   diss[4] += l3 * ap * (h + a * un);
 
   double fl[kNState], fr[kNState];
-  euler_flux(ql, area, gamma, fl);
-  euler_flux(qr, area, gamma, fr);
+  euler_flux(ql, priml, area, fl);
+  euler_flux(qr, primr, area, fr);
   for (int s = 0; s < kNState; ++s) {
     f[s] = 0.5 * (fl[s] + fr[s]) - 0.5 * amag * diss[s];
   }

@@ -30,6 +30,17 @@ const char* group_tag(BoundaryGroup g) {
   return "?";
 }
 
+/// Rusanov or Roe convective flux from two states and their primitives().
+inline void upwind_flux(bool use_roe, double gamma, const double* ql, const double* priml,
+                        const double* qr, const double* primr, const double* area,
+                        double* f) {
+  if (use_roe) {
+    roe_flux(ql, priml, qr, primr, area, gamma, f);
+  } else {
+    rusanov_flux(ql, priml, qr, primr, area, f);
+  }
+}
+
 /// Constants of the interior-face flux, captured by value.
 struct FaceFluxCoeffs {
   double gamma, mu_l, cp, k_lam, pr_t, sa_sigma, cv1;
@@ -40,29 +51,26 @@ struct FaceFluxCoeffs {
 /// states when kMuscl), SA upwind convection, and — when kViscous —
 /// viscous stresses with SA eddy viscosity and SA diffusion, all in one
 /// sweep: the canonical indirect-increment motif at Hydra's arithmetic
-/// intensity. Each instantiation binds only what its terms read, because
-/// an out-of-line kernel call pays per element for every bound argument,
-/// read or not (DESIGN.md §10). The arguments are the core ones, then the
-/// MUSCL ones (gradq×2, lim×2, cc×2, fcent), then the viscous ones
-/// (gradp×2, gradnut×2).
+/// intensity. Each instantiation binds only what its terms read
+/// (DESIGN.md §10). The arguments are the core ones, then either the two
+/// cells' primitives (prim×2: first order, the `prim` member wrote them) or
+/// the MUSCL ones (gradq×2, lim×2, cc×2, fcent: the reconstructed states'
+/// primitives are computed here), then the viscous ones (gradp×2,
+/// gradnut×2).
 template <bool kMuscl, bool kViscous>
 struct FaceFlux : FaceFluxCoeffs {
   template <class... Terms>
   void operator()(const double* ql, const double* qr, const double* nl, const double* nr_,
                   const double* area, double* rl, double* rr, double* sl, double* sr,
                   Terms... terms) const {
-    constexpr std::size_t kV = kMuscl ? 7 : 0;  // first viscous term argument
+    constexpr std::size_t kV = kMuscl ? 7 : 2;  // first viscous term argument
     static_assert(sizeof...(Terms) == kV + (kViscous ? 4 : 0));
-    [[maybe_unused]] const std::array<const double*, sizeof...(Terms)> t{terms...};
-    double qL[kNState], qR[kNState];
-    for (int s = 0; s < kNState; ++s) {
-      qL[s] = ql[s];
-      qR[s] = qr[s];
-    }
+    const std::array<const double*, sizeof...(Terms)> t{terms...};
+    double f[kNState];
     if constexpr (kMuscl) {
       const double* fc = t[6];
       auto reconstruct = [&](const double* q, const double* gq, const double* lm,
-                             const double* cc, double* out) {
+                             const double* cc, double* out, double* prim) {
         const double dx = fc[0] - cc[0], dy = fc[1] - cc[1], dz = fc[2] - cc[2];
         for (int s = 0; s < kNState; ++s) {
           out[s] = q[s] + lm[s] * (gq[s * 3] * dx + gq[s * 3 + 1] * dy + gq[s * 3 + 2] * dz);
@@ -71,15 +79,14 @@ struct FaceFlux : FaceFluxCoeffs {
         if (out[0] < 0.05 * q[0] || pressure(out, gamma) <= 0.0) {
           for (int s = 0; s < kNState; ++s) out[s] = q[s];
         }
+        primitives(out, gamma, prim);
       };
-      reconstruct(ql, t[0], t[2], t[4], qL);
-      reconstruct(qr, t[1], t[3], t[5], qR);
-    }
-    double f[kNState];
-    if (use_roe) {
-      roe_flux(qL, qR, area, gamma, f);
+      double qL[kNState], qR[kNState], pL[kNPrim], pR[kNPrim];
+      reconstruct(ql, t[0], t[2], t[4], qL, pL);
+      reconstruct(qr, t[1], t[3], t[5], qR, pR);
+      upwind_flux(use_roe, gamma, qL, pL, qR, pR, area, f);
     } else {
-      rusanov_flux(qL, qR, area, gamma, f);
+      upwind_flux(use_roe, gamma, ql, t[0], qr, t[1], area, f);
     }
     for (int s = 0; s < kNState; ++s) {
       rl[s] -= f[s];
@@ -115,9 +122,15 @@ struct FaceFlux : FaceFluxCoeffs {
           fm[i] += tau * area[j];
         }
       }
-      const double uf[3] = {0.5 * (ql[1] / ql[0] + qr[1] / qr[0]),
-                            0.5 * (ql[2] / ql[0] + qr[2] / qr[0]),
-                            0.5 * (ql[3] / ql[0] + qr[3] / qr[0])};
+      // Face velocity: from the cells' primitives where they are bound.
+      double uf[3];
+      for (int i = 0; i < 3; ++i) {
+        if constexpr (kMuscl) {
+          uf[i] = 0.5 * (ql[1 + i] / ql[0] + qr[1 + i] / qr[0]);
+        } else {
+          uf[i] = 0.5 * (t[0][i] + t[1][i]);
+        }
+      }
       const double k_eff = k_lam + cp * mu_t / pr_t;
       double fe = k_eff * (g[3][0] * area[0] + g[3][1] * area[1] + g[3][2] * area[2]);
       for (int i = 0; i < 3; ++i) fe += uf[i] * fm[i];
@@ -223,11 +236,24 @@ void RowSolver::declare(const rig::AnnulusMesh& mesh, const rig::RowShard* shard
   }
   wdist_ = &ctx_.decl_dat<double>(*cells_, 1, pfx_ + "wdist", std::move(wd));
 
+  // The circumferential unit vector (-sin theta, cos theta) the blade force
+  // and shaft power project momentum on: fixed geometry, evaluated once.
+  if (row_.nblades > 0) {
+    std::vector<double> et(static_cast<std::size_t>(mesh.ncell) * 2);
+    for (std::size_t c = 0; c < static_cast<std::size_t>(mesh.ncell); ++c) {
+      const double th = mesh.cell_rtheta[c * 2 + 1];
+      et[c * 2] = -std::sin(th);
+      et[c * 2 + 1] = std::cos(th);
+    }
+    etheta_ = &ctx_.decl_dat<double>(*cells_, 2, pfx_ + "etheta", std::move(et));
+  }
+
   q_ = &ctx_.decl_dat<double>(*cells_, kNState, pfx_ + "q");
   q0_ = &ctx_.decl_dat<double>(*cells_, kNState, pfx_ + "q0");
   qold_ = &ctx_.decl_dat<double>(*cells_, kNState, pfx_ + "qold");
   qold2_ = &ctx_.decl_dat<double>(*cells_, kNState, pfx_ + "qold2");
   res_ = &ctx_.decl_dat<double>(*cells_, kNState, pfx_ + "res");
+  if (!cfg_.second_order) prim_ = &ctx_.decl_dat<double>(*cells_, kNPrim, pfx_ + "prim");
   ws_ = &ctx_.decl_dat<double>(*cells_, 1, pfx_ + "ws");
   dtl_ = &ctx_.decl_dat<double>(*cells_, 1, pfx_ + "dtl");
   nut_ = &ctx_.decl_dat<double>(*cells_, 1, pfx_ + "nut");
@@ -584,6 +610,13 @@ void RowSolver::declare_residual(op2::LoopChain& chain) {
   }
 
   // --- interior face fluxes (FaceFlux above) ----------------------------------
+  // First order: the cells' primitives, once per cell instead of once per
+  // face side.
+  if (!cfg_.second_order) {
+    chain.add((pfx_ + "prim").c_str(), *cells_,
+              [gamma](const double* q, double* prim) { primitives(q, gamma, prim); },
+              op2::read(*q_), op2::write(*prim_));
+  }
   {
     const std::string name = pfx_ + "flux_face";
     const double cp = cfg_.cp();
@@ -612,10 +645,14 @@ void RowSolver::declare_residual(op2::LoopChain& chain) {
                  std::tuple_cat(core, muscl, visc));
     } else if (cfg_.second_order) {
       add_member(chain, name, *faces_, FaceFlux<true, false>{c}, std::tuple_cat(core, muscl));
-    } else if (cfg_.viscous) {
-      add_member(chain, name, *faces_, FaceFlux<false, true>{c}, std::tuple_cat(core, visc));
     } else {
-      add_member(chain, name, *faces_, FaceFlux<false, false>{c}, core);
+      const auto prim = std::make_tuple(op2::read(*prim_, *f2c_, 0), op2::read(*prim_, *f2c_, 1));
+      if (cfg_.viscous) {
+        add_member(chain, name, *faces_, FaceFlux<false, true>{c},
+                   std::tuple_cat(core, prim, visc));
+      } else {
+        add_member(chain, name, *faces_, FaceFlux<false, false>{c}, std::tuple_cat(core, prim));
+      }
     }
   }
 
@@ -669,18 +706,17 @@ void RowSolver::declare_residual(op2::LoopChain& chain) {
   }
 
   // Ghost-based fluxes on inlet/outlet (physical or sliding-plane): Rusanov
-  // against the exterior payload, upwinded SA convection on the same face.
+  // or Roe against the exterior payload, upwinded SA convection on the same
+  // face.
   const bool bc_use_roe = cfg_.flux_scheme == FlowConfig::FluxScheme::Roe;
   for (const auto group : {BoundaryGroup::Inlet, BoundaryGroup::Outlet}) {
     chain.add((pfx_ + group_tag(group) + "_flux").c_str(), *bsets_[gi(group)],
                   [gamma, bc_use_roe](const double* q, const double* nut, const double* gh,
                                       const double* area, double* r, double* sr) {
-                    double f[kNState];
-                    if (bc_use_roe) {
-                      roe_flux(q, gh, area, gamma, f);
-                    } else {
-                      rusanov_flux(q, gh, area, gamma, f);
-                    }
+                    double pq[kNPrim], pg[kNPrim], f[kNState];
+                    primitives(q, gamma, pq);
+                    primitives(gh, gamma, pg);
+                    upwind_flux(bc_use_roe, gamma, q, pq, gh, pg, area, f);
                     for (int s = 0; s < kNState; ++s) r[s] -= f[s];
                     const double un = (q[1] * area[0] + q[2] * area[1] + q[3] * area[2]) / q[0];
                     const double ung =
@@ -757,15 +793,18 @@ void RowSolver::declare_residual(op2::LoopChain& chain) {
         row_.rotor ? cfg_.rotor_axial_load / (row_.x_max - row_.x_min) : 0.0;
     const double wake = cfg_.blade_wake_frac;
     const int nblades = row_.nblades;
+    // The wake cosine is evaluated only with wakes on; without them mod is
+    // 1.0, exactly what 1.0 + 0.0 * cos(...) gives.
     chain.add((pfx_ + "blade_force").c_str(), *cells_,
                   [omega, tau, frac, rotor, axial_load, wake, nblades](
-                      const double* q, const double* rt, const double* vol,
-                      const double* frame_angle, double* r) {
-                    const double rad = rt[0], th = rt[1];
-                    const double ty = -std::sin(th), tz = std::cos(th);
+                      const double* q, const double* rt, const double* et,
+                      const double* vol, const double* frame_angle, double* r) {
+                    const double rad = rt[0];
+                    const double ty = et[0], tz = et[1];
                     const double blade_speed = omega * rad;
                     const double mod =
-                        1.0 + wake * std::cos(nblades * (th - *frame_angle));
+                        wake != 0.0 ? 1.0 + wake * std::cos(nblades * (rt[1] - *frame_angle))
+                                    : 1.0;
                     const double m_theta = q[2] * ty + q[3] * tz;  // rho * w_theta
                     const double f_theta =
                         mod * (q[0] * frac * blade_speed - m_theta) / tau;
@@ -781,7 +820,7 @@ void RowSolver::declare_residual(op2::LoopChain& chain) {
                       r[4] += *vol * fx * (q[1] / q[0]);
                     }
                   },
-                  op2::read(*q_), op2::read(*rtheta_),
+                  op2::read(*q_), op2::read(*rtheta_), op2::read(*etheta_),
                   op2::read(*vol_), op2::read(frame_angle_), op2::inc(*res_));
   }
 
@@ -1038,16 +1077,17 @@ double RowSolver::shaft_power() {
   auto power = ctx_.decl_global<double>(pfx_ + "power", 1);
   op2::par_loop((pfx_ + "shaft_power").c_str(), *cells_,
                 [omega, tau, frac, axial_load](const double* q, const double* rt,
-                                               const double* vol, double* p) {
-                  const double rad = rt[0], th = rt[1];
-                  const double ty = -std::sin(th), tz = std::cos(th);
+                                               const double* et, const double* vol,
+                                               double* p) {
+                  const double rad = rt[0];
+                  const double ty = et[0], tz = et[1];
                   const double blade_speed = omega * rad;
                   const double m_theta = q[2] * ty + q[3] * tz;
                   const double f_theta = (q[0] * frac * blade_speed - m_theta) / tau;
                   const double fx = axial_load * 0.5 * q[0] * blade_speed * blade_speed;
                   *p += *vol * (f_theta * blade_speed + fx * q[1] / q[0]);
                 },
-                op2::read(*q_), op2::read(*rtheta_),
+                op2::read(*q_), op2::read(*rtheta_), op2::read(*etheta_),
                 op2::read(*vol_), op2::reduce_sum(power));
   return power.value();
 }

@@ -163,12 +163,14 @@ class RowSolver {
   op2::Dat<double>* cc_ = nullptr;       ///< cell centers (3)
   op2::Dat<double>* vol_ = nullptr;      ///< volumes (1)
   op2::Dat<double>* rtheta_ = nullptr;   ///< (r, theta) (2)
+  op2::Dat<double>* etheta_ = nullptr;   ///< (-sin theta, cos theta) (2); bladed rows
   op2::Dat<double>* wdist_ = nullptr;    ///< wall distance (1)
   op2::Dat<double>* q_ = nullptr;        ///< conservative state (5)
   op2::Dat<double>* q0_ = nullptr;       ///< RK stage base (5)
   op2::Dat<double>* qold_ = nullptr;     ///< physical level n (5)
   op2::Dat<double>* qold2_ = nullptr;    ///< physical level n-1 (5)
   op2::Dat<double>* res_ = nullptr;      ///< residual (5)
+  op2::Dat<double>* prim_ = nullptr;     ///< u, v, w, p, c (5); first order only
   op2::Dat<double>* ws_ = nullptr;       ///< wavespeed accumulator (1)
   op2::Dat<double>* dtl_ = nullptr;      ///< local pseudo step (1)
   op2::Dat<double>* nut_ = nullptr;      ///< SA working variable (1)

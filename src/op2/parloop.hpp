@@ -61,6 +61,14 @@
 #define VCGT_SIMD
 #endif
 
+// The per-element argument helpers below (tgt, pre, post, lane, vptr) run
+// once per argument per element. GCC would keep them out of line once
+// run_elements' three paths reach its inlining limits, and an out-of-line
+// call per argument per element then costs more than most kernels' own
+// work; so they are forced inline. The staged-lane gather/scatter they call
+// on non-unit-stride layouts is left to the compiler's judgement.
+#define VCGT_OP2_PER_ELEM [[gnu::always_inline]] inline
+
 namespace vcgt::op2 {
 
 // --- argument descriptors (access mode in the type) -------------------------
@@ -276,7 +284,7 @@ struct BoundRow {
 };
 
 template <class T, Access A>
-[[nodiscard]] inline index_t tgt(const BoundDat<T, A>& b, index_t e) {
+[[nodiscard]] VCGT_OP2_PER_ELEM index_t tgt(const BoundDat<T, A>& b, index_t e) {
   return b.table
              ? b.table[static_cast<std::size_t>(e) * static_cast<std::size_t>(b.mdim) +
                        static_cast<std::size_t>(b.idx)]
@@ -311,33 +319,33 @@ inline void store_lane(const BoundDat<T, A>& b, index_t t, const T* lane) {
 /// Kernel pointer for element e: direct storage pointer when unit-stride,
 /// else gather into the scratch lane (written back by post()).
 template <class T, Access A>
-[[nodiscard]] inline KernelPtr<T, A> pre(BoundDat<T, A>& b, index_t e) {
+[[nodiscard]] VCGT_OP2_PER_ELEM KernelPtr<T, A> pre(BoundDat<T, A>& b, index_t e) {
   const index_t t = tgt(b, e);
   if (!b.scratch) return b.base + static_cast<std::size_t>(t) * b.estride;
   load_lane(b, t, b.scratch);
   return b.scratch;
 }
 template <class T, Access A>
-inline void post(BoundDat<T, A>& b, index_t e) {
+VCGT_OP2_PER_ELEM void post(BoundDat<T, A>& b, index_t e) {
   if constexpr (access_writes(A)) {
     if (b.scratch) store_lane(b, tgt(b, e), b.scratch);
   }
 }
 
 template <class T, Access A>
-[[nodiscard]] inline KernelPtr<T, A> pre(BoundGbl<T, A>& b, index_t) {
+[[nodiscard]] VCGT_OP2_PER_ELEM KernelPtr<T, A> pre(BoundGbl<T, A>& b, index_t) {
   return b.ptr;
 }
-[[nodiscard]] inline const gindex_t* pre(BoundIdx& b, index_t e) { return b.l2g + e; }
+[[nodiscard]] VCGT_OP2_PER_ELEM const gindex_t* pre(BoundIdx& b, index_t e) { return b.l2g + e; }
 template <class T>
-[[nodiscard]] inline DatSpan<T> pre(BoundSpan<T>& b, index_t) {
+[[nodiscard]] VCGT_OP2_PER_ELEM DatSpan<T> pre(BoundSpan<T>& b, index_t) {
   return b.view;
 }
-[[nodiscard]] inline const index_t* pre(BoundRow& b, index_t e) {
+[[nodiscard]] VCGT_OP2_PER_ELEM const index_t* pre(BoundRow& b, index_t e) {
   return b.table + static_cast<std::size_t>(e) * static_cast<std::size_t>(b.mdim);
 }
 template <class B>
-inline void post(B&, index_t) {}
+VCGT_OP2_PER_ELEM void post(B&, index_t) {}
 
 // --- chunked staging (scalar path over conflict-free element sources) -------
 
@@ -350,9 +358,10 @@ template <class B>
   return false;
 }
 
-/// Gathers elements src[p .. p+m) into consecutive scratch lanes.
+/// Gathers elements src[p .. p+m) into consecutive scratch lanes. Flattened,
+/// so a chunk costs at most one call, not one per element.
 template <class T, Access A, class Src>
-inline void stage_in(BoundDat<T, A>& b, const Src& src, std::size_t p, int m) {
+[[gnu::flatten]] inline void stage_in(BoundDat<T, A>& b, const Src& src, std::size_t p, int m) {
   if (!b.scratch) return;
   for (int k = 0; k < m; ++k) {
     load_lane(b, tgt(b, src[p + static_cast<std::size_t>(k)]),
@@ -361,7 +370,7 @@ inline void stage_in(BoundDat<T, A>& b, const Src& src, std::size_t p, int m) {
 }
 /// Scatters the lanes of a written argument back to elements src[p .. p+m).
 template <class T, Access A, class Src>
-inline void stage_out(BoundDat<T, A>& b, const Src& src, std::size_t p, int m) {
+[[gnu::flatten]] inline void stage_out(BoundDat<T, A>& b, const Src& src, std::size_t p, int m) {
   if constexpr (access_writes(A)) {
     if (!b.scratch) return;
     for (int k = 0; k < m; ++k) {
@@ -378,12 +387,12 @@ inline void stage_out(B&, const Src&, std::size_t, int) {}
 /// Kernel pointer for chunk lane k (element e): the staged lane when
 /// staged, the plain storage pointer otherwise.
 template <class T, Access A>
-[[nodiscard]] inline KernelPtr<T, A> lane(BoundDat<T, A>& b, index_t e, int k) {
+[[nodiscard]] VCGT_OP2_PER_ELEM KernelPtr<T, A> lane(BoundDat<T, A>& b, index_t e, int k) {
   if (!b.scratch) return b.base + static_cast<std::size_t>(tgt(b, e)) * b.estride;
   return b.scratch + static_cast<std::size_t>(k * b.ddim);
 }
 template <class B>
-[[nodiscard]] inline auto lane(B& b, index_t e, int) {
+[[nodiscard]] VCGT_OP2_PER_ELEM auto lane(B& b, index_t e, int) {
   return pre(b, e);
 }
 
@@ -393,11 +402,11 @@ template <class B>
 // body is branch-free strided arithmetic the compiler can vectorize.
 
 template <class T, Access A>
-[[nodiscard]] inline KernelPtr<T, A> vptr(BoundDat<T, A>& b, index_t e) {
+[[nodiscard]] VCGT_OP2_PER_ELEM KernelPtr<T, A> vptr(BoundDat<T, A>& b, index_t e) {
   return b.base + static_cast<std::size_t>(e) * b.estride;
 }
 template <class B>
-[[nodiscard]] inline auto vptr(B& b, index_t e) {
+[[nodiscard]] VCGT_OP2_PER_ELEM auto vptr(B& b, index_t e) {
   return pre(b, e);
 }
 
@@ -981,3 +990,5 @@ class LoopChain {
 };
 
 }  // namespace vcgt::op2
+
+#undef VCGT_OP2_PER_ELEM

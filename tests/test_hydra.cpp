@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "src/hydra/solver.hpp"
 #include "src/minimpi/minimpi.hpp"
@@ -298,10 +299,11 @@ TEST(HydraSolver, BoundaryExchangeLayoutAgnostic) {
   }
 }
 
-// A member binds only what its configured terms read: an unread argument
-// still costs a map load and a pointer per element (DESIGN.md §10).
-// flux_face: 9 core arguments, +7 for MUSCL, +4 for viscous terms; the
-// wall fluxes bind nut and the wall distance only for no-slip walls.
+// A member binds only what its configured terms read (DESIGN.md §10).
+// flux_face: 9 core arguments, then the cells' primitives (2, first order)
+// or the MUSCL terms (7), then +4 for viscous terms; a `prim` member exists
+// exactly on the first-order path. The wall fluxes bind nut and the wall
+// distance only for no-slip walls.
 TEST(HydraFlux, MembersBindOnlyWhatTheirTermsRead) {
   for (const bool muscl : {false, true}) {
     for (const bool viscous : {false, true}) {
@@ -328,12 +330,128 @@ TEST(HydraFlux, MembersBindOnlyWhatTheirTermsRead) {
         };
         SCOPED_TRACE(testing::Message() << "muscl=" << muscl << " viscous=" << viscous
                                         << " no_slip=" << no_slip);
-        EXPECT_EQ(nargs("T:flux_face"), 9 + (muscl ? 7 : 0) + (viscous ? 4 : 0));
+        EXPECT_EQ(nargs("T:flux_face"), 9 + (muscl ? 7 : 2) + (viscous ? 4 : 0));
+        EXPECT_EQ(nargs("T:prim"), muscl ? -1 : 2);
         const long wall = viscous && no_slip ? 5 : 3;
         EXPECT_EQ(nargs("T:hub_flux"), wall);
         EXPECT_EQ(nargs("T:casing_flux"), wall);
       }
     }
+  }
+}
+
+// The first-order residual with per-cell primitives (the `prim` member)
+// equals, bit for bit, a reference assembled here with primitives()
+// evaluated at every face side, for Rusanov and Roe on a wake rotor. The
+// reference replays the residual members of this configuration in the
+// solver's order: interior faces, inlet/outlet ghost fluxes, wall
+// pressure, blade force (steady: no dual-time source).
+TEST(HydraFlux, CellPrimitivesResidualMatchesPerFaceReference) {
+  for (const auto scheme : {FlowConfig::FluxScheme::Rusanov, FlowConfig::FluxScheme::Roe}) {
+    using hydra::kNPrim, hydra::kNState;
+    const bool roe = scheme == FlowConfig::FluxScheme::Roe;
+    SCOPED_TRACE(roe ? "Roe" : "Rusanov");
+    op2::Context ctx;
+    auto row = quiet_row();
+    row.rotor = true;
+    row.nblades = 12;
+    const auto mesh = rig::generate_row_mesh(row, {4, 3, 16});
+    FlowConfig cfg = quiet_config();
+    cfg.flux_scheme = scheme;
+    cfg.rotor_swirl_frac = 0.3;
+    cfg.rotor_axial_load = 0.5;
+    cfg.blade_wake_frac = 0.3;
+    cfg.p_back_ratio = 1.02;
+    cfg.steady = true;
+    // The implicit path evaluates the residual without overwriting it, so
+    // after an iteration `res` holds R(q) of the state fetched before it.
+    cfg.implicit_dual_time = true;
+    const double omega = 1000.0;
+    RowSolver solver(ctx, mesh, row, omega, cfg);
+    ctx.partition(op2::Partitioner::Rcb, solver.cell_center());
+    solver.initialize();
+    solver.advance_inner(3);  // develop a non-uniform state
+
+    const auto q = ctx.fetch_global(solver.q());
+    solver.inner_iteration();
+    op2::Dat<double>* res_dat = nullptr;
+    for (const auto& d : ctx.dats()) {
+      if (d->name() == "T:res") res_dat = dynamic_cast<op2::Dat<double>*>(d.get());
+    }
+    ASSERT_NE(res_dat, nullptr);
+    const auto res = ctx.fetch_global(*res_dat);
+    const auto gh_in = ctx.fetch_global(solver.ghost(BoundaryGroup::Inlet));
+    const auto gh_out = ctx.fetch_global(solver.ghost(BoundaryGroup::Outlet));
+
+    const double gamma = cfg.gamma;
+    const auto flux = [&](const double* ql, const double* qr, const double* area, double* f) {
+      double pl[kNPrim], pr[kNPrim];
+      hydra::primitives(ql, gamma, pl);
+      hydra::primitives(qr, gamma, pr);
+      if (roe) {
+        hydra::roe_flux(ql, pl, qr, pr, area, gamma, f);
+      } else {
+        hydra::rusanov_flux(ql, pl, qr, pr, area, f);
+      }
+    };
+    const auto at = [](const std::vector<double>& v, std::size_t i, std::size_t dim) {
+      return v.data() + i * dim;
+    };
+    std::vector<double> ref(res.size(), 0.0);
+    double f[kNState];
+    for (std::size_t e = 0; e < static_cast<std::size_t>(mesh.nface); ++e) {
+      const auto cl = static_cast<std::size_t>(mesh.face2cell[e * 2]);
+      const auto cr = static_cast<std::size_t>(mesh.face2cell[e * 2 + 1]);
+      flux(at(q, cl, kNState), at(q, cr, kNState), at(mesh.face_normal, e, 3), f);
+      for (std::size_t s = 0; s < kNState; ++s) {
+        ref[cl * kNState + s] -= f[s];
+        ref[cr * kNState + s] += f[s];
+      }
+    }
+    for (const auto group : {BoundaryGroup::Inlet, BoundaryGroup::Outlet, BoundaryGroup::Hub,
+                             BoundaryGroup::Casing}) {
+      const auto g = static_cast<std::size_t>(group);
+      const auto& gh = group == BoundaryGroup::Inlet ? gh_in : gh_out;
+      for (auto b = static_cast<std::size_t>(mesh.group_begin[g]);
+           b < static_cast<std::size_t>(mesh.group_end[g]); ++b) {
+        const auto c = static_cast<std::size_t>(mesh.bface2cell[b]);
+        const double* area = at(mesh.bface_normal, b, 3);
+        if (group == BoundaryGroup::Inlet || group == BoundaryGroup::Outlet) {
+          const std::size_t k = b - static_cast<std::size_t>(mesh.group_begin[g]);
+          flux(at(q, c, kNState), at(gh, k, RowSolver::kPayload), area, f);
+          for (std::size_t s = 0; s < kNState; ++s) ref[c * kNState + s] -= f[s];
+        } else {
+          const double p = hydra::pressure(at(q, c, kNState), gamma);
+          for (std::size_t d = 0; d < 3; ++d) ref[c * kNState + 1 + d] -= p * area[d];
+        }
+      }
+    }
+    const double axial_load = cfg.rotor_axial_load / (row.x_max - row.x_min);
+    for (std::size_t c = 0; c < static_cast<std::size_t>(mesh.ncell); ++c) {
+      const double* qc = at(q, c, kNState);
+      double* r = &ref[c * kNState];
+      const double vol = mesh.cell_vol[c];
+      const double rad = mesh.cell_rtheta[c * 2], th = mesh.cell_rtheta[c * 2 + 1];
+      const double ty = -std::sin(th), tz = std::cos(th);
+      const double blade_speed = omega * rad;
+      const double mod = 1.0 + cfg.blade_wake_frac * std::cos(row.nblades * (th - 0.0));
+      const double m_theta = qc[2] * ty + qc[3] * tz;
+      const double f_theta =
+          mod * (qc[0] * cfg.rotor_swirl_frac * blade_speed - m_theta) / cfg.blade_relax;
+      r[2] += vol * f_theta * ty;
+      r[3] += vol * f_theta * tz;
+      r[4] += vol * f_theta * blade_speed;
+      const double fx = mod * axial_load * 0.5 * qc[0] * blade_speed * blade_speed;
+      r[1] += vol * fx;
+      r[4] += vol * fx * (qc[1] / qc[0]);
+    }
+
+    ASSERT_EQ(ref.size(), res.size());
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < res.size(); ++i) {
+      if (std::memcmp(&ref[i], &res[i], sizeof(double)) != 0) ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << res.size() << " residual components";
   }
 }
 

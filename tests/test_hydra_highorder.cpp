@@ -149,10 +149,11 @@ TEST(FluxScheme, RoeConsistentWithExactFluxForEqualStates) {
   // F(q, q, A) must equal the exact Euler flux for both schemes.
   const double q[5] = {1.2, 96.0, 5.0, -3.0, 2.6e5};
   const double area[3] = {0.4, -0.2, 0.7};
-  double exact[5], roe[5], rus[5];
-  hydra::euler_flux(q, area, 1.4, exact);
-  hydra::roe_flux(q, q, area, 1.4, roe);
-  hydra::rusanov_flux(q, q, area, 1.4, rus);
+  double prim[5], exact[5], roe[5], rus[5];
+  hydra::primitives(q, 1.4, prim);
+  hydra::euler_flux(q, prim, area, exact);
+  hydra::roe_flux(q, prim, q, prim, area, 1.4, roe);
+  hydra::rusanov_flux(q, prim, q, prim, area, rus);
   for (int s = 0; s < 5; ++s) {
     EXPECT_NEAR(roe[s], exact[s], 1e-9 * (std::fabs(exact[s]) + 1.0)) << s;
     EXPECT_NEAR(rus[s], exact[s], 1e-9 * (std::fabs(exact[s]) + 1.0)) << s;
@@ -169,10 +170,12 @@ TEST(FluxScheme, RoeLessDissipativeThanRusanovOnContact) {
   const double ql[5] = {rl, rl * u, 0, 0, p / (gamma - 1) + 0.5 * rl * u * u};
   const double qr[5] = {rr, rr * u, 0, 0, p / (gamma - 1) + 0.5 * rr * u * u};
   const double area[3] = {1.0, 0.0, 0.0};
-  double froe[5], frus[5], exact_l[5];
-  hydra::roe_flux(ql, qr, area, gamma, froe);
-  hydra::rusanov_flux(ql, qr, area, gamma, frus);
-  hydra::euler_flux(ql, area, gamma, exact_l);
+  double pl[5], pr[5], froe[5], frus[5], exact_l[5];
+  hydra::primitives(ql, gamma, pl);
+  hydra::primitives(qr, gamma, pr);
+  hydra::roe_flux(ql, pl, qr, pr, area, gamma, froe);
+  hydra::rusanov_flux(ql, pl, qr, pr, area, frus);
+  hydra::euler_flux(ql, pl, area, exact_l);
   // Upwind-exact mass flux for the supersonic-free contact: rho_l * u from
   // the left state (u > 0). Roe must be much closer to it than Rusanov.
   const double err_roe = std::fabs(froe[0] - exact_l[0]);
