@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the op2 runtime and coupler
-// primitives: par_loop dispatch, indirect increments, coloring, partitioner
-// cost, ADT build/query vs brute force. These quantify the constants behind
-// the execution plans the paper's OP2 code generator emits.
+// primitives: par_loop dispatch, indirect increments, the krylov stencil
+// SpMV, coloring, partitioner cost, ADT build/query vs brute force. These
+// quantify the constants behind the execution plans the paper's OP2 code
+// generator emits.
 //
 // Before the google-benchmark suite, main() runs the data-layout sweep
 // (DESIGN.md §8): AoS / SoA / AoSoA(4) / AoSoA(8) × direct / indirect loops,
@@ -10,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -18,6 +20,7 @@
 
 #include "bench/bench_common.hpp"
 #include "src/jm76/adt.hpp"
+#include "src/krylov/krylov.hpp"
 #include "src/op2/op2.hpp"
 #include "src/rig/annulus.hpp"
 #include "src/rig/interface.hpp"
@@ -166,6 +169,49 @@ void BM_ParLoopDeadArgs(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * f.mesh.nface);
 }
 BENCHMARK(BM_ParLoopDeadArgs)->Arg(0)->Arg(4)->Arg(11);
+
+// krylov's SpMV, y = A x, at hydra's width: d = 5 components and 7-slot
+// rows (the row itself, then its 6 neighbours on a periodic 16 x 16 x 32
+// grid, 8,192 rows). Arg 0 runs the dats in AoS, arg 1 in SoA. Reports
+// time_per_row and bytes_per_second, counting per row the 7 coefficients,
+// the 7 column ids, y and one read of x (its other 6 reads assumed cached).
+void BM_StencilSpmv(benchmark::State& state) {
+  constexpr int kNx = 16, kNy = 16, kNz = 32, kD = 5, kWidth = 7;
+  constexpr index_t kRows = kNx * kNy * kNz;
+  op2::Config cfg;
+  cfg.default_layout = state.range(0) == 0 ? op2::Layout::AoS : op2::Layout::SoA;
+  op2::Context ctx(cfg);
+  auto& rows = ctx.decl_set("rows", kRows);
+  const auto id = [](int i, int j, int k) {
+    return static_cast<index_t>((((k + kNz) % kNz) * kNy + (j + kNy) % kNy) * kNx +
+                                (i + kNx) % kNx);
+  };
+  const auto m = krylov::declare_stencil(
+      ctx, rows, kWidth, "lap", [&id](index_t r, std::span<index_t> cols, std::span<double> a) {
+        const int i = r % kNx, j = r / kNx % kNy, k = r / (kNx * kNy);
+        const index_t nb[kWidth] = {r,            id(i - 1, j, k), id(i + 1, j, k),
+                                    id(i, j - 1, k), id(i, j + 1, k), id(i, j, k - 1),
+                                    id(i, j, k + 1)};
+        for (int s = 0; s < kWidth; ++s) {
+          cols[static_cast<std::size_t>(s)] = nb[s];
+          a[static_cast<std::size_t>(s)] = s == 0 ? 7.0 : -1.0;
+        }
+      });
+  auto& x = ctx.decl_dat<double>(rows, kD, "x",
+                                 std::vector<double>(static_cast<std::size_t>(kRows) * kD, 1.0));
+  auto& y = ctx.decl_dat<double>(rows, kD, "y");
+  krylov::Solver solver(ctx, m, kD, "k");
+  for (auto _ : state) {
+    solver.spmv("k:spmv", x, y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  const auto row_bytes = kWidth * (sizeof(double) + sizeof(index_t)) + 2 * kD * sizeof(double);
+  state.SetBytesProcessed(state.iterations() * kRows * static_cast<std::int64_t>(row_bytes));
+  state.counters["time_per_row"] = benchmark::Counter(
+      kRows, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_StencilSpmv)->Arg(0)->Arg(1);
 
 void BM_ColoringBuild(benchmark::State& state) {
   const auto mesh = bench_mesh(static_cast<int>(state.range(0)));

@@ -162,12 +162,22 @@ inline double sa_fv1(double chi, double cv1) {
   return c3 / (c3 + cv1 * cv1 * cv1);
 }
 
+/// |A| of an area vector.
+inline double area_norm(const double* area) {
+  return std::sqrt(area[0] * area[0] + area[1] * area[1] + area[2] * area[2]);
+}
+
+/// Convective spectral radius |u.n| + c |A| of state q across a face of
+/// area vector `area`, for a caller that already holds the state's sound
+/// speed c = sound_speed(q, gamma) and amag = area_norm(area).
+inline double face_wavespeed(const double* q, double c, const double* area, double amag) {
+  const double un = (q[1] * area[0] + q[2] * area[1] + q[3] * area[2]) / q[0];
+  return std::fabs(un) + c * amag;
+}
+
 /// Convective spectral radius |u.n| + c |A| used for the CFL pseudo-step.
 inline double face_wavespeed(const double* q, const double* area, double gamma) {
-  const double amag =
-      std::sqrt(area[0] * area[0] + area[1] * area[1] + area[2] * area[2]);
-  const double un = (q[1] * area[0] + q[2] * area[1] + q[3] * area[2]) / q[0];
-  return std::fabs(un) + sound_speed(q, gamma) * amag;
+  return face_wavespeed(q, sound_speed(q, gamma), area, area_norm(area));
 }
 
 }  // namespace vcgt::hydra

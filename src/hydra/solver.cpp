@@ -962,11 +962,18 @@ void RowSolver::implicit_iteration() {
                                       const double* vol, const double* dt,
                                       const double* w, double* a) {
                   a[0] = *vol / *dt + shift * *vol + 0.5 * *w;
+                  // face_wavespeed() of both sides per slot, with the
+                  // row's own sound speed and each slot's |A| taken once.
+                  const double c_own = sound_speed(q, gamma);
                   for (int k = 1; k < width; ++k) {
+                    const double* area = fg + 3 * k;
+                    const double amag = area_norm(area);
+                    const auto qk = qn.elem(cols[k]);
                     double qnb[kNState];
-                    for (int s = 0; s < kNState; ++s) qnb[s] = qn.at(cols[k], s);
-                    const double lam = 0.5 * (face_wavespeed(q, fg + 3 * k, gamma) +
-                                              face_wavespeed(qnb, fg + 3 * k, gamma));
+                    for (int s = 0; s < kNState; ++s) qnb[s] = qk[s];
+                    const double lam =
+                        0.5 * (face_wavespeed(q, c_own, area, amag) +
+                               face_wavespeed(qnb, sound_speed(qnb, gamma), area, amag));
                     a[k] = -0.5 * lam;
                   }
                 },

@@ -2,6 +2,7 @@
 #include "src/krylov/krylov.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -11,22 +12,77 @@ namespace vcgt::krylov {
 
 namespace {
 
-/// y = A x per component, x read through the stencil row.
-auto spmv_kernel(int d, int k) {
-  return [d, k](const double* a, const op2::index_t* cols, op2::DatSpan<double> x,
-                double* y) {
-    for (int c = 0; c < d; ++c) {
-      double sum = 0.0;
-      for (int j = 0; j < k; ++j) sum += a[j] * x.at(cols[j], c);
-      y[c] = sum;
+/// y = A x for D components in one pass over the stencil row: each
+/// column's x is resolved once (DatSpan::elem) and the D sums stay in
+/// registers. Each sum starts at 0.0 and adds a[j] * x[c] in slot order,
+/// the order of a component-by-component fold, so y is bit-identical to it.
+template <int D>
+struct SpmvKernel {
+  int k;
+  void operator()(const double* a, const op2::index_t* cols, op2::DatSpan<double> x,
+                  double* y) const {
+    double sum[D];
+#pragma GCC unroll 8
+    for (int c = 0; c < D; ++c) sum[c] = 0.0;
+    for (int j = 0; j < k; ++j) {
+      const auto xj = x.elem(cols[j]);
+      const double aj = a[j];
+#pragma GCC unroll 8
+      for (int c = 0; c < D; ++c) sum[c] += aj * xj[c];
     }
-  };
+#pragma GCC unroll 8
+    for (int c = 0; c < D; ++c) y[c] = sum[c];
+  }
+};
+
+template <int D>
+void spmv_dim(const StencilMatrix& m, op2::LoopChain* chain, const char* loop,
+              op2::Dat<double>& in, op2::Dat<double>& out) {
+  const SpmvKernel<D> kernel{m.width()};
+  if (chain) {
+    chain->add(loop, *m.rows, kernel, op2::read(*m.a), op2::row(*m.cols),
+               op2::read_span(in, *m.cols), op2::write(out));
+  } else {
+    op2::par_loop(loop, *m.rows, kernel, op2::read(*m.a), op2::row(*m.cols),
+                  op2::read_span(in, *m.cols), op2::write(out));
+  }
+}
+
+constexpr std::array kSpmvByDim = {&spmv_dim<1>, &spmv_dim<2>, &spmv_dim<3>, &spmv_dim<4>,
+                                   &spmv_dim<5>, &spmv_dim<6>, &spmv_dim<7>, &spmv_dim<8>};
+static_assert(kSpmvByDim.size() == Solver::kMaxDim);
+
+auto spmv_for_dim(int dim) {
+  if (dim < 1 || dim > Solver::kMaxDim) {
+    throw std::invalid_argument(
+        vcgt::util::fmt("krylov: solver dim must be in 1..{} (got {})", Solver::kMaxDim, dim));
+  }
+  return kSpmvByDim[static_cast<std::size_t>(dim - 1)];
 }
 
 double aggregate_norm(const double* rr, int d) {
   double ss = 0.0;
   for (int c = 0; c < d; ++c) ss += rr[c];
   return std::sqrt(ss);
+}
+
+/// aggregate_norm() over the components no breakdown has stopped: the
+/// norm the stopping test reads, so that a broken component, whose
+/// residual no longer moves, does not hold the others to max_iters. With
+/// none broken it is aggregate_norm() itself.
+double live_norm(const double* rr, const std::vector<char>& broken) {
+  double ss = 0.0;
+  for (std::size_t c = 0; c < broken.size(); ++c) {
+    if (!broken[c]) ss += rr[c];
+  }
+  return std::sqrt(ss);
+}
+
+SolveStatus finish_status(const std::vector<char>& broken, double rnorm, double tol) {
+  if (std::find(broken.begin(), broken.end(), 1) != broken.end()) {
+    return SolveStatus::Breakdown;
+  }
+  return rnorm <= tol ? SolveStatus::Converged : SolveStatus::MaxIters;
 }
 
 }  // namespace
@@ -60,14 +116,15 @@ Solver::Solver(op2::Context& ctx, StencilMatrix m, int dim, std::string name)
     : ctx_(ctx),
       m_(m),
       d_(dim),
+      spmv_(spmv_for_dim(dim)),
       name_(std::move(name)),
       pfx_(name_ + ":"),
       dots2_(ctx.decl_global<double>(pfx_ + "dots2", 2 * dim)),
+      dots3_(ctx.decl_global<double>(pfx_ + "dots3", 3 * dim)),
       dot1_(ctx.decl_global<double>(pfx_ + "dot1", dim)),
       alpha_(ctx.decl_global<double>(pfx_ + "alpha", dim)),
       beta_(ctx.decl_global<double>(pfx_ + "beta", dim)),
       omega_(ctx.decl_global<double>(pfx_ + "omega", dim)) {
-  if (dim < 1) throw std::invalid_argument("krylov: solver dim must be >= 1");
   op2::Set& rows = *m_.rows;
   auto decl = [&](const char* suffix) {
     return &ctx_.decl_dat<double>(rows, d_, pfx_ + suffix);
@@ -86,8 +143,7 @@ Solver::Solver(op2::Context& ctx, StencilMatrix m, int dim, std::string name)
 // --- building-block loops ----------------------------------------------------
 
 void Solver::spmv(const char* loop, op2::Dat<double>& in, op2::Dat<double>& out) {
-  op2::par_loop(loop, *m_.rows, spmv_kernel(d_, m_.width()), op2::read(*m_.a),
-                op2::row(*m_.cols), op2::read_span(in, *m_.cols), op2::write(out));
+  spmv_(m_, nullptr, loop, in, out);
 }
 
 /// dots2_[c] = u·v per component, dots2_[d+c] = v·v per component — one
@@ -275,17 +331,22 @@ SolveStats Solver::run_cg(op2::Dat<double>& x, op2::Dat<double>& b,
                     for (int c = 0; c < d; ++c) pv[c] = zv[c] + bv[c] * pv[c];
                   },
                   op2::read(*z_), op2::read(beta_), op2::rw(*p_));
-    cg_iter_->add((pfx_ + "spmv_p").c_str(), *m_.rows, spmv_kernel(d, m_.width()),
-                  op2::read(*m_.a), op2::row(*m_.cols), op2::read_span(*p_, *m_.cols),
-                  op2::write(*q_));
+    spmv_(m_, cg_iter_.get(), (pfx_ + "spmv_p").c_str(), *p_, *q_);
   }
-  for (int it = 0; it < opts.max_iters && st.rnorm > tol; ++it) {
+  // A broken component takes zero steps from then on; the others go on.
+  std::vector<char> broken(static_cast<std::size_t>(d), 0);
+  double live = st.rnorm;
+  for (int it = 0; it < opts.max_iters && live > tol; ++it) {
     cg_iter_->execute();  // p = z + beta p ; q = A p
 
     dot_single((pfx_ + "dot_pq").c_str(), *p_, *q_);
     for (int c = 0; c < d; ++c) {
+      // A component whose z·r is 0 has converged exactly: its zero step is
+      // right. A zero p·q under a non-zero z·r is a breakdown.
+      const auto cc = static_cast<std::size_t>(c);
       const double pq = dot1_.data()[c];
-      alpha_.data()[c] = pq != 0.0 ? rz[static_cast<std::size_t>(c)] / pq : 0.0;
+      if (pq == 0.0 && rz[cc] != 0.0) broken[cc] = 1;
+      alpha_.data()[c] = (pq != 0.0 && !broken[cc]) ? rz[cc] / pq : 0.0;
     }
 
     op2::par_loop((pfx_ + "update_xr").c_str(), *m_.rows,
@@ -308,10 +369,11 @@ SolveStats Solver::run_cg(op2::Dat<double>& x, op2::Dat<double>& b,
       rz[static_cast<std::size_t>(c)] = rz_new;
     }
     st.rnorm = aggregate_norm(dots2_.data() + d, d);
+    live = live_norm(dots2_.data() + d, broken);
     st.history.push_back(st.rnorm);
     ++st.iters;
   }
-  st.converged = st.rnorm <= tol;
+  st.status = finish_status(broken, st.rnorm, tol);
   return st;
 }
 
@@ -346,14 +408,21 @@ SolveStats Solver::run_bicgstab(op2::Dat<double>& x, op2::Dat<double>& b,
   st.history.push_back(st.rnorm0);
   const double tol = std::max(opts.rtol * st.rnorm0, opts.atol);
 
-  for (int it = 0; it < opts.max_iters && st.rnorm > tol; ++it) {
+  // A broken component takes zero steps from then on; the others go on.
+  std::vector<char> broken(static_cast<std::size_t>(d), 0);
+  double live = st.rnorm;
+  for (int it = 0; it < opts.max_iters && live > tol; ++it) {
     apply_precond(opts.precond, *p_, *z_, (pfx_ + "precond_phat").c_str());
     spmv((pfx_ + "spmv_phat").c_str(), *z_, *q_);  // v = A phat
 
     dot_single((pfx_ + "dot_r0v").c_str(), *r0_, *q_);
     for (int c = 0; c < d; ++c) {
+      // A zero r0·v under a non-zero r0·r is a breakdown; under a zero
+      // r0·r (a converged or zero-RHS component) the zero step is right.
+      const auto cc = static_cast<std::size_t>(c);
       const double sg = dot1_.data()[c];
-      alpha_.data()[c] = sg != 0.0 ? rho[static_cast<std::size_t>(c)] / sg : 0.0;
+      if (sg == 0.0 && rho[cc] != 0.0) broken[cc] = 1;
+      alpha_.data()[c] = (sg != 0.0 && !broken[cc]) ? rho[cc] / sg : 0.0;
     }
 
     op2::par_loop((pfx_ + "calc_s").c_str(), *m_.rows,
@@ -365,10 +434,25 @@ SolveStats Solver::run_bicgstab(op2::Dat<double>& x, op2::Dat<double>& b,
     apply_precond(opts.precond, *s_, *sh_, (pfx_ + "precond_shat").c_str());
     spmv((pfx_ + "spmv_shat").c_str(), *sh_, *t_);
 
-    dot_pair((pfx_ + "dot_ts_tt").c_str(), *s_, *t_);  // g[c]=s·t, g[d+c]=t·t
+    // g[c]=s·t, g[d+c]=t·t, g[2d+c]=s·s
+    dots3_.set(0.0);
+    op2::par_loop((pfx_ + "dot_ts_tt_ss").c_str(), *m_.rows,
+                  [d](const double* sv, const double* tv, double* g) {
+                    for (int c = 0; c < d; ++c) {
+                      g[c] += sv[c] * tv[c];
+                      g[d + c] += tv[c] * tv[c];
+                      g[2 * d + c] += sv[c] * sv[c];
+                    }
+                  },
+                  op2::read(*s_), op2::read(*t_), op2::reduce_sum(dots3_));
     for (int c = 0; c < d; ++c) {
-      const double tt = dots2_.data()[d + c];
-      omega_.data()[c] = tt != 0.0 ? dots2_.data()[c] / tt : 0.0;
+      // A zero t·t under a zero s (converged at the half step) is a zero
+      // step; under a non-zero s it is a breakdown, which still keeps
+      // this iteration's alpha half step.
+      const auto cc = static_cast<std::size_t>(c);
+      const double tt = dots3_.data()[d + c];
+      if (tt == 0.0 && dots3_.data()[2 * d + c] != 0.0) broken[cc] = 1;
+      omega_.data()[c] = (tt != 0.0 && !broken[cc]) ? dots3_.data()[c] / tt : 0.0;
     }
 
     op2::par_loop((pfx_ + "update_x").c_str(), *m_.rows,
@@ -407,10 +491,11 @@ SolveStats Solver::run_bicgstab(op2::Dat<double>& x, op2::Dat<double>& b,
                   op2::rw(*p_));
 
     st.rnorm = aggregate_norm(dots2_.data() + d, d);
+    live = live_norm(dots2_.data() + d, broken);
     st.history.push_back(st.rnorm);
     ++st.iters;
   }
-  st.converged = st.rnorm <= tol;
+  st.status = finish_status(broken, st.rnorm, tol);
   return st;
 }
 

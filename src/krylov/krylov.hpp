@@ -71,9 +71,16 @@ struct SolveOptions {
   double atol = 0.0;
 };
 
+/// How a solve ended. Breakdown: a step's denominator (CG's p·q,
+/// BiCGStab's r0·v or t·t) was exactly zero for a component whose step
+/// numerator was not, so that component cannot continue. It takes zero
+/// steps from then on, the other components go on until their own
+/// residual meets the tolerance, and the solve reports Breakdown.
+enum class SolveStatus { Converged, MaxIters, Breakdown };
+
 struct SolveStats {
   int iters = 0;
-  bool converged = false;
+  SolveStatus status = SolveStatus::MaxIters;
   double rnorm0 = 0.0;
   double rnorm = 0.0;
   /// Aggregate residual 2-norm (sqrt of the sum over components of r·r)
@@ -86,13 +93,20 @@ struct SolveStats {
 /// Construct *pre-partition* (declares dim-d work dats on the rows set);
 /// solve() runs post-partition and may be called repeatedly — coefficient
 /// changes are picked up because the preconditioner is rebuilt per solve.
+/// The SpMV kernel is compiled per dimension: dim must be in 1..kMaxDim
+/// (std::invalid_argument otherwise).
 class Solver {
  public:
+  static constexpr int kMaxDim = 8;
+
   Solver(op2::Context& ctx, StencilMatrix m, int dim, std::string name);
 
   /// Solves A x = b (d components independently). `x` holds the initial
   /// guess on entry and the solution on exit.
   SolveStats solve(op2::Dat<double>& x, op2::Dat<double>& b, const SolveOptions& opts);
+
+  /// out = A in (both dim d on the rows set), as the loop named `loop`.
+  void spmv(const char* loop, op2::Dat<double>& in, op2::Dat<double>& out);
 
   [[nodiscard]] const StencilMatrix& matrix() const { return m_; }
   [[nodiscard]] int dim() const { return d_; }
@@ -101,7 +115,6 @@ class Solver {
   void prepare(Precond p);
   void apply_precond(Precond p, op2::Dat<double>& in, op2::Dat<double>& out,
                      const char* loop);
-  void spmv(const char* loop, op2::Dat<double>& in, op2::Dat<double>& out);
   void dot_pair(const char* loop, op2::Dat<double>& u, op2::Dat<double>& v);
   void dot_single(const char* loop, op2::Dat<double>& u, op2::Dat<double>& v);
   SolveStats run_cg(op2::Dat<double>& x, op2::Dat<double>& b, const SolveOptions& opts);
@@ -111,6 +124,10 @@ class Solver {
   op2::Context& ctx_;
   StencilMatrix m_;
   int d_;
+  /// The SpMV instantiation for d_: runs it as a par_loop, or appends it
+  /// to `chain` when that is non-null.
+  void (*spmv_)(const StencilMatrix& m, op2::LoopChain* chain, const char* loop,
+                op2::Dat<double>& in, op2::Dat<double>& out);
   std::string name_;
   std::string pfx_;
 
@@ -126,6 +143,7 @@ class Solver {
 
   // Reductions (Inc) and per-component step scalars (Read).
   op2::Global<double> dots2_;  ///< dim 2d: paired per-component dots
+  op2::Global<double> dots3_;  ///< dim 3d: BiCGStab's s·t, t·t and s·s
   op2::Global<double> dot1_;   ///< dim d
   op2::Global<double> alpha_;
   op2::Global<double> beta_;

@@ -62,11 +62,12 @@
 #endif
 
 // The per-element argument helpers below (tgt, pre, post, lane, vptr) run
-// once per argument per element. GCC would keep them out of line once
-// run_elements' three paths reach its inlining limits, and an out-of-line
-// call per argument per element then costs more than most kernels' own
-// work; so they are forced inline. The staged-lane gather/scatter they call
-// on non-unit-stride layouts is left to the compiler's judgement.
+// once per argument per element, and DatSpan::elem once per stencil column.
+// GCC would keep them out of line once run_elements' three paths reach its
+// inlining limits, and an out-of-line call per argument per element then
+// costs more than most kernels' own work; so they are forced inline. The
+// staged-lane gather/scatter they call on non-unit-stride layouts is left
+// to the compiler's judgement.
 #define VCGT_OP2_PER_ELEM [[gnu::always_inline]] inline
 
 namespace vcgt::op2 {
@@ -165,11 +166,23 @@ template <class T>
 
 // --- gather-free row access (CSR/stencil pattern, DESIGN.md §11) ------------
 
+/// One element of a DatSpan: component c sits at p[c * stride] (stride 1
+/// under AoS, the column height under SoA, the block width under AoSoA).
+template <class T>
+struct ElemView {
+  const T* p;
+  std::size_t stride;
+  [[nodiscard]] VCGT_OP2_PER_ELEM const T& operator[](int c) const {
+    return p[static_cast<std::size_t>(c) * stride];
+  }
+};
+
 /// Kernel-facing whole-dat read view handed out by op2::read_span: indexes
 /// the dat by *local* element id — normally a column id taken from the
 /// map row an op2::row argument supplies — with layout-aware addressing,
 /// so SpMV-style kernels walk a stencil row without per-slot gathers under
-/// any storage layout.
+/// any storage layout. elem() resolves the layout once per element; the
+/// kernel then reads its components at a fixed stride.
 template <class T>
 struct DatSpan {
   const T* base = nullptr;
@@ -178,18 +191,15 @@ struct DatSpan {
   std::size_t cap = 0;  ///< SoA column height (padded element capacity)
   int bshift = 0;       ///< log2(AoSoA block)
   index_t bmask = 0;    ///< AoSoA block - 1
-  [[nodiscard]] const T& at(index_t e, int c) const {
+  [[nodiscard]] VCGT_OP2_PER_ELEM ElemView<T> elem(index_t e) const {
     const auto eu = static_cast<std::size_t>(e);
-    const auto cu = static_cast<std::size_t>(c);
-    const auto du = static_cast<std::size_t>(ddim);
     switch (layout) {
-      case Layout::SoA: return base[cu * cap + eu];
-      case Layout::AoSoA: {
-        const std::size_t o0 =
-            (((eu >> bshift) * du) << bshift) + (eu & static_cast<std::size_t>(bmask));
-        return base[o0 + (cu << bshift)];
-      }
-      default: return base[eu * du + cu];
+      case Layout::SoA: return {base + eu, cap};
+      case Layout::AoSoA:
+        return {base + ((((eu >> bshift) * static_cast<std::size_t>(ddim)) << bshift) +
+                        (eu & static_cast<std::size_t>(bmask))),
+                std::size_t{1} << bshift};
+      default: return {base + eu * static_cast<std::size_t>(ddim), 1};
     }
   }
   [[nodiscard]] int dim() const { return ddim; }

@@ -191,7 +191,7 @@ void emit_op(const Emit& emit, const LoopOp& op, const char* name, op2::Set& set
            [=](double* av, const index_t* cols, op2::DatSpan<double> x) {
              for (int c = 0; c < ad; ++c) {
                double s = 0.0;
-               for (int k = 0; k < md; ++k) s += x.at(cols[k], c % bd);
+               for (int k = 0; k < md; ++k) s += x.elem(cols[k])[c % bd];
                av[c] = k1 * s + k2;
              }
            },

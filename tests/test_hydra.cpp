@@ -455,6 +455,106 @@ TEST(HydraFlux, CellPrimitivesResidualMatchesPerFaceReference) {
   }
 }
 
+// implicit_assemble takes the row's own sound speed once per row and |A|
+// once per slot. Its coefficients equal, bit for bit, a reference that
+// calls face_wavespeed() on both sides of every slot, serially and on 2
+// ranks. The reference rebuilds the solver's stencil from the mesh: slot 0
+// the cell, then its interior-face neighbours in face order, then
+// (self, zero-area) pads.
+TEST(HydraImplicit, AssemblyMatchesPerSlotReference) {
+  using hydra::kNState;
+  auto row = quiet_row();
+  row.rotor = true;
+  row.nblades = 12;
+  const auto mesh = rig::generate_row_mesh(row, {4, 3, 16});
+  FlowConfig cfg = quiet_config();
+  cfg.rotor_swirl_frac = 0.3;
+  cfg.p_back_ratio = 1.02;
+  cfg.steady = true;
+  cfg.implicit_dual_time = true;
+  const double omega = 1000.0;
+
+  struct Fields {
+    std::vector<double> q, a, fgeom, vol, dtl, ws;
+  };
+  const auto run = [&](op2::Context& ctx) {
+    RowSolver solver(ctx, mesh, row, omega, cfg);
+    ctx.partition(op2::Partitioner::Rcb, solver.cell_center());
+    solver.initialize();
+    solver.advance_inner(3);  // develop a non-uniform state
+    Fields f;
+    // The implicit iteration assembles from this state before updating it;
+    // the pseudo step and wavespeed it assembles from stay in dtl and ws.
+    f.q = ctx.fetch_global(solver.q());
+    solver.inner_iteration();
+    const auto fetch = [&ctx](const std::string& name) {
+      for (const auto& d : ctx.dats()) {
+        if (d->name() == name) return ctx.fetch_global(dynamic_cast<op2::Dat<double>&>(*d));
+      }
+      ADD_FAILURE() << "no dat " << name;
+      return std::vector<double>{};
+    };
+    f.a = fetch("T:imat_a");
+    f.fgeom = fetch("T:fgeom");
+    f.vol = fetch("T:vol");
+    f.dtl = fetch("T:dtl");
+    f.ws = fetch("T:ws");
+    return f;
+  };
+
+  const auto nc = static_cast<std::size_t>(mesh.ncell);
+  std::vector<std::vector<std::size_t>> nbrs(nc);
+  for (std::size_t e = 0; e < static_cast<std::size_t>(mesh.nface); ++e) {
+    const auto cl = static_cast<std::size_t>(mesh.face2cell[e * 2]);
+    const auto cr = static_cast<std::size_t>(mesh.face2cell[e * 2 + 1]);
+    nbrs[cl].push_back(cr);
+    nbrs[cr].push_back(cl);
+  }
+  const auto check = [&](const Fields& f) {
+    ASSERT_FALSE(f.a.empty());
+    ASSERT_EQ(f.a.size() % nc, 0u);
+    const std::size_t width = f.a.size() / nc;
+    ASSERT_EQ(f.fgeom.size(), nc * 3 * width);
+    std::vector<double> ref(f.a.size());
+    std::size_t nonzero = 0;
+    for (std::size_t c = 0; c < nc; ++c) {
+      const double* qc = f.q.data() + c * kNState;
+      ref[c * width] = f.vol[c] / f.dtl[c] + 0.0 * f.vol[c] + 0.5 * f.ws[c];
+      for (std::size_t k = 1; k < width; ++k) {
+        const std::size_t nb = k - 1 < nbrs[c].size() ? nbrs[c][k - 1] : c;
+        const double* area = f.fgeom.data() + (c * width + k) * 3;
+        const double lam = 0.5 * (hydra::face_wavespeed(qc, area, cfg.gamma) +
+                                  hydra::face_wavespeed(f.q.data() + nb * kNState, area,
+                                                        cfg.gamma));
+        ref[c * width + k] = -0.5 * lam;
+        if (lam != 0.0) ++nonzero;
+      }
+    }
+    EXPECT_GT(nonzero, nc);
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      if (std::memcmp(&ref[i], &f.a[i], sizeof(double)) != 0) ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << ref.size() << " coefficients";
+  };
+
+  {
+    SCOPED_TRACE("serial");
+    op2::Context ctx;
+    check(run(ctx));
+  }
+  {
+    SCOPED_TRACE("2 ranks");
+    Fields f;
+    minimpi::World::run(2, [&](minimpi::Comm& comm) {
+      op2::Context ctx(comm);
+      auto r = run(ctx);
+      if (ctx.rank() == 0) f = std::move(r);
+    });
+    check(f);
+  }
+}
+
 TEST(HydraSolver, SetCoupledValidation) {
   op2::Context ctx;
   const auto row = quiet_row();

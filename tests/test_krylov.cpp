@@ -7,8 +7,11 @@
 // ascending global-id order regardless of partition.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "src/hydra/solver.hpp"
@@ -122,10 +125,8 @@ struct SolveOut {
   std::vector<double> x;
 };
 
-SolveOut run_one(op2::Context& ctx, const rig::AnnulusMesh& mesh, const Ell& ell,
-                 const std::vector<double>& b_init, const SolveCase& sc) {
-  auto& rows = ctx.decl_set("cells", mesh.ncell);
-  const auto m = krylov::declare_stencil(
+krylov::StencilMatrix declare_ell(op2::Context& ctx, op2::Set& rows, const Ell& ell) {
+  return krylov::declare_stencil(
       ctx, rows, ell.width, "lap",
       [&ell](index_t row, std::span<index_t> cols, std::span<double> a) {
         const auto base = static_cast<std::size_t>(row) * cols.size();
@@ -134,6 +135,12 @@ SolveOut run_one(op2::Context& ctx, const rig::AnnulusMesh& mesh, const Ell& ell
           a[k] = ell.a[base + k];
         }
       });
+}
+
+SolveOut run_one(op2::Context& ctx, const rig::AnnulusMesh& mesh, const Ell& ell,
+                 const std::vector<double>& b_init, const SolveCase& sc) {
+  auto& rows = ctx.decl_set("cells", mesh.ncell);
+  const auto m = declare_ell(ctx, rows, ell);
   auto& cc = ctx.decl_dat<double>(rows, 3, "cc", mesh.cell_center);
   auto& x = ctx.decl_dat<double>(rows, sc.d, "x");
   auto& b = ctx.decl_dat<double>(rows, sc.d, "b", b_init);
@@ -187,7 +194,7 @@ TEST(Krylov, CgConvergesOnRigLaplacian) {
   sc.opts.rtol = 1e-10;
   const auto out = run_case(mesh, ell, b, sc);
 
-  EXPECT_TRUE(out.stats.converged);
+  EXPECT_EQ(out.stats.status, krylov::SolveStatus::Converged);
   // CG on an SPD n x n system terminates within n iterations (up to
   // rounding); the manufactured spectrum converges far sooner.
   EXPECT_LE(out.stats.iters, mesh.ncell);
@@ -209,7 +216,7 @@ TEST(Krylov, CgRecoversEachComponentOfMultiRhs) {
   sc.opts.precond = krylov::Precond::Jacobi;
   sc.opts.rtol = 1e-10;
   const auto out = run_case(mesh, ell, b, sc);
-  EXPECT_TRUE(out.stats.converged);
+  EXPECT_EQ(out.stats.status, krylov::SolveStatus::Converged);
   expect_recovers(out, xstar, 1e-7);
 }
 
@@ -225,7 +232,7 @@ TEST(Krylov, CgHistoryBitIdenticalAcrossBackends) {
   serial.opts.precond = krylov::Precond::Jacobi;
   serial.opts.rtol = 1e-9;
   const auto ref = run_case(mesh, ell, b, serial);
-  EXPECT_TRUE(ref.stats.converged);
+  EXPECT_EQ(ref.stats.status, krylov::SolveStatus::Converged);
 
   for (const auto& [nranks, nthreads] : std::vector<std::pair<int, int>>{
            {1, 2}, {2, 1}, {3, 1}}) {
@@ -273,6 +280,154 @@ TEST(Krylov, FusedAndEagerSpmvBitIdentical) {
   }
 }
 
+// The SpMV kernel is compiled per component count and keeps each row's
+// sums in registers, slot by slot. Per component that is the order of a
+// component-by-component fold, so A x equals, bit for bit, the naive
+// reference apply_ell() for every dim and storage layout, signed zeros
+// included. Dims outside 1..8 have no kernel and are refused.
+TEST(Krylov, SpmvBitIdenticalAcrossLayoutsAndDims) {
+  const auto mesh = rig::generate_row_mesh(test_row(), {3, 2, 8});
+  const auto ell = build_laplacian(mesh, 0.5, 0.3);
+  const auto n = static_cast<std::size_t>(mesh.ncell);
+  struct LayoutCase {
+    op2::Layout layout;
+    int block;
+    const char* name;
+  };
+  for (const auto& lc : {LayoutCase{op2::Layout::AoS, 8, "aos"},
+                         LayoutCase{op2::Layout::SoA, 8, "soa"},
+                         LayoutCase{op2::Layout::AoSoA, 4, "aosoa4"}}) {
+    for (const int d : {1, 2, 3, 5, 8}) {
+      SCOPED_TRACE(testing::Message() << lc.name << " d=" << d);
+      std::vector<double> xv(n * static_cast<std::size_t>(d));
+      for (std::size_t i = 0; i < xv.size(); ++i) {
+        xv[i] = i % 7 == 3 ? -0.0 : hash01(i) - 0.5;
+      }
+      const auto ref = apply_ell(ell, mesh.ncell, d, xv);
+
+      op2::Config cfg;
+      cfg.default_layout = lc.layout;
+      cfg.aosoa_block = lc.block;
+      op2::Context ctx(cfg);
+      auto& rows = ctx.decl_set("cells", mesh.ncell);
+      const auto m = declare_ell(ctx, rows, ell);
+      auto& cc = ctx.decl_dat<double>(rows, 3, "cc", mesh.cell_center);
+      auto& x = ctx.decl_dat<double>(rows, d, "x", xv);
+      auto& y = ctx.decl_dat<double>(rows, d, "y");
+      krylov::Solver solver(ctx, m, d, "k");
+      ctx.partition(op2::Partitioner::Rcb, cc);
+      ASSERT_EQ(x.layout(), lc.layout);
+
+      solver.spmv("k:apply", x, y);
+      const auto got = ctx.fetch_global(y);
+      ASSERT_EQ(got.size(), ref.size());
+      std::size_t mismatches = 0;
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        if (std::memcmp(&got[i], &ref[i], sizeof(double)) != 0) ++mismatches;
+      }
+      EXPECT_EQ(mismatches, 0u) << "of " << ref.size() << " entries";
+    }
+  }
+
+  op2::Context ctx;
+  auto& rows = ctx.decl_set("cells", mesh.ncell);
+  const auto m = declare_ell(ctx, rows, ell);
+  for (const int d : {0, krylov::Solver::kMaxDim + 1}) {
+    EXPECT_THROW(krylov::Solver(ctx, m, d, "k"), std::invalid_argument) << "d=" << d;
+  }
+}
+
+// A zero matrix with a non-zero b: CG's first p·q and BiCGStab's first
+// r0·v are zero under a non-zero z·r (r0·r), so every component breaks
+// down in the first iteration and the solve stops with Breakdown after it,
+// leaving x at its initial guess, instead of running to max_iters with
+// zero steps.
+TEST(Krylov, ZeroMatrixStopsWithBreakdown) {
+  const auto mesh = rig::generate_row_mesh(test_row(), {3, 2, 8});
+  auto ell = build_laplacian(mesh, 0.5, 0.0);
+  std::fill(ell.a.begin(), ell.a.end(), 0.0);
+  const auto b = manufactured_x(mesh.ncell, 2);
+
+  for (const auto method : {krylov::Method::CG, krylov::Method::BiCGStab}) {
+    SCOPED_TRACE(method == krylov::Method::CG ? "CG" : "BiCGStab");
+    SolveCase sc;
+    sc.d = 2;
+    sc.opts.method = method;
+    sc.opts.max_iters = 50;
+    const auto out = run_case(mesh, ell, b, sc);
+    EXPECT_EQ(out.stats.status, krylov::SolveStatus::Breakdown);
+    EXPECT_EQ(out.stats.iters, 1);
+    ASSERT_EQ(out.stats.history.size(), 2u);
+    EXPECT_EQ(out.stats.history[1], out.stats.history[0]);
+    for (const double v : out.x) EXPECT_EQ(v, 0.0);
+  }
+}
+
+// One broken component must not stop the others. A = diag(+a, -a, +a', -a',
+// ...) with no preconditioner: component 0's b = 1 gives p·q = r0·v = 0
+// exactly under a non-zero r·r, a breakdown; component 1's b lives on the
+// positive rows only, where A is SPD, so it converges. The solve stops once
+// component 1 meets the tolerance and reports Breakdown, with component 0
+// still at its initial guess.
+TEST(Krylov, BrokenComponentLeavesTheOthersConverging) {
+  const auto mesh = rig::generate_row_mesh(test_row(), {3, 2, 8});
+  ASSERT_EQ(mesh.ncell % 2, 0);
+  auto ell = build_laplacian(mesh, 0.5, 0.0);
+  std::fill(ell.a.begin(), ell.a.end(), 0.0);
+  const auto n = static_cast<std::size_t>(mesh.ncell);
+  const auto w = static_cast<std::size_t>(ell.width);
+  std::vector<double> xstar(2 * n, 0.0);
+  for (std::size_t r = 0; r < n; ++r) {
+    const double mag = 1.0 + 0.25 * static_cast<double>((r / 2) % 3);
+    ell.a[r * w] = r % 2 == 0 ? mag : -mag;
+    if (r % 2 == 0) xstar[2 * r + 1] = 0.5 + 0.1 * static_cast<double>(r % 7);
+  }
+  auto b = apply_ell(ell, mesh.ncell, 2, xstar);
+  for (std::size_t r = 0; r < n; ++r) b[2 * r] = 1.0;
+
+  for (const auto method : {krylov::Method::CG, krylov::Method::BiCGStab}) {
+    SCOPED_TRACE(method == krylov::Method::CG ? "CG" : "BiCGStab");
+    SolveCase sc;
+    sc.d = 2;
+    sc.opts.method = method;
+    sc.opts.precond = krylov::Precond::None;
+    sc.opts.rtol = 1e-10;
+    sc.opts.max_iters = 50;
+    const auto out = run_case(mesh, ell, b, sc);
+    EXPECT_EQ(out.stats.status, krylov::SolveStatus::Breakdown);
+    EXPECT_GE(out.stats.iters, 1);
+    EXPECT_LT(out.stats.iters, sc.opts.max_iters);
+    ASSERT_EQ(out.x.size(), 2 * n);
+    for (std::size_t r = 0; r < n; ++r) {
+      EXPECT_EQ(out.x[2 * r], 0.0) << "row " << r;
+      EXPECT_NEAR(out.x[2 * r + 1], xstar[2 * r + 1], 1e-8) << "row " << r;
+    }
+  }
+}
+
+// A component whose right-hand side is zero has converged from the start:
+// its zero p·q, r0·v and t·t come with a zero z·r, r0·r and s·s, so they
+// are zero steps, not a breakdown, and the other component converges.
+TEST(Krylov, ZeroRhsComponentIsNotABreakdown) {
+  const auto mesh = rig::generate_row_mesh(test_row(), {3, 2, 8});
+  const auto ell = build_laplacian(mesh, 0.5, 0.0);
+  auto xstar = manufactured_x(mesh.ncell, 2);
+  for (std::size_t i = 1; i < xstar.size(); i += 2) xstar[i] = 0.0;
+  const auto b = apply_ell(ell, mesh.ncell, 2, xstar);
+
+  for (const auto method : {krylov::Method::CG, krylov::Method::BiCGStab}) {
+    SCOPED_TRACE(method == krylov::Method::CG ? "CG" : "BiCGStab");
+    SolveCase sc;
+    sc.d = 2;
+    sc.opts.method = method;
+    sc.opts.rtol = 1e-10;
+    const auto out = run_case(mesh, ell, b, sc);
+    EXPECT_EQ(out.stats.status, krylov::SolveStatus::Converged);
+    EXPECT_GT(out.stats.iters, 1);
+    expect_recovers(out, xstar, 1e-6);
+  }
+}
+
 TEST(Krylov, BicgstabConvergesOnNonsymmetricSystem) {
   const auto mesh = rig::generate_row_mesh(test_row(), {3, 2, 8});
   // skew breaks A = A^T, which is exactly BiCGStab's territory.
@@ -285,7 +440,7 @@ TEST(Krylov, BicgstabConvergesOnNonsymmetricSystem) {
   sc.opts.precond = krylov::Precond::Jacobi;
   sc.opts.rtol = 1e-10;
   const auto out = run_case(mesh, ell, b, sc);
-  EXPECT_TRUE(out.stats.converged);
+  EXPECT_EQ(out.stats.status, krylov::SolveStatus::Converged);
   expect_recovers(out, xstar, 1e-6);
 }
 
@@ -303,8 +458,8 @@ TEST(Krylov, BlockIlu0BeatsUnpreconditionedIterationCount) {
 
   const auto op = run_case(mesh, ell, b, plain);
   const auto oi = run_case(mesh, ell, b, ilu);
-  EXPECT_TRUE(op.stats.converged);
-  EXPECT_TRUE(oi.stats.converged);
+  EXPECT_EQ(op.stats.status, krylov::SolveStatus::Converged);
+  EXPECT_EQ(oi.stats.status, krylov::SolveStatus::Converged);
   // Serial BlockILU0 is a full ILU(0) of the whole matrix — it must not be
   // slower than no preconditioner on this diagonally dominant system.
   EXPECT_LE(oi.stats.iters, op.stats.iters);

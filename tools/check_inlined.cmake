@@ -1,7 +1,8 @@
 # Inlining guard, no timing involved: fails when BINARY holds an
 # out-of-line copy of one of op2's per-element argument helpers
-# (tgt/pre/post/lane/vptr in src/op2/parloop.hpp, which forces them inline).
-# An out-of-line copy means a call per argument per element on the hot path.
+# (tgt/pre/post/lane/vptr in src/op2/parloop.hpp, which forces them inline)
+# or of DatSpan::elem. An out-of-line copy means a call per argument per
+# element, or per stencil column, on the hot path.
 #
 #   cmake -DNM=<nm> -DBINARY=<executable> -P tools/check_inlined.cmake
 #
@@ -20,7 +21,9 @@ execute_process(COMMAND "${nm_tool}" -C "${BINARY}" OUTPUT_VARIABLE symbols
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${nm_tool} -C ${BINARY} failed (${rc}): ${err}")
 endif()
-string(REGEX MATCHALL "vcgt::op2::detail::(pre|post|tgt|lane|vptr)<[^\n]*" hits "${symbols}")
+string(REGEX MATCHALL
+       "(vcgt::op2::detail::(pre|post|tgt|lane|vptr)<|vcgt::op2::DatSpan<[^\n]*>::elem\\()[^\n]*"
+       hits "${symbols}")
 list(LENGTH hits n)
 if(n GREATER 0)
   list(JOIN hits "\n  " listing)
