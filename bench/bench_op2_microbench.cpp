@@ -3,22 +3,13 @@
 // SpMV, coloring, partitioner cost, ADT build/query vs brute force. These
 // quantify the constants behind the execution plans the paper's OP2 code
 // generator emits.
-//
-// Before the google-benchmark suite, main() runs the data-layout sweep
-// (DESIGN.md §8): AoS / SoA / AoSoA(4) / AoSoA(8) × direct / indirect loops,
-// writing elements/s and bytes/s per configuration to BENCH_layout.json.
-// Pass --layout-only to skip the google-benchmark part (the CI simd job).
 #include <benchmark/benchmark.h>
 
-#include <array>
 #include <cstdint>
-#include <cstring>
-#include <memory>
-#include <string>
+#include <span>
 #include <utility>
 #include <vector>
 
-#include "bench/bench_common.hpp"
 #include "src/jm76/adt.hpp"
 #include "src/krylov/krylov.hpp"
 #include "src/op2/op2.hpp"
@@ -26,7 +17,6 @@
 #include "src/rig/interface.hpp"
 #include "src/rig/rowspec.hpp"
 #include "src/util/rng.hpp"
-#include "src/util/timer.hpp"
 
 using namespace vcgt;
 using op2::Access;
@@ -172,15 +162,12 @@ BENCHMARK(BM_ParLoopDeadArgs)->Arg(0)->Arg(4)->Arg(11);
 
 // krylov's SpMV, y = A x, at hydra's width: d = 5 components and 7-slot
 // rows (the row itself, then its 6 neighbours on a periodic 16 x 16 x 32
-// grid, 8,192 rows). Arg 0 runs the dats in AoS, arg 1 in SoA. Reports
-// time_per_row and bytes_per_second, counting per row the 7 coefficients,
+// grid, 8,192 rows). Reports time_per_row and bytes_per_second, counting per row the 7 coefficients,
 // the 7 column ids, y and one read of x (its other 6 reads assumed cached).
 void BM_StencilSpmv(benchmark::State& state) {
   constexpr int kNx = 16, kNy = 16, kNz = 32, kD = 5, kWidth = 7;
   constexpr index_t kRows = kNx * kNy * kNz;
-  op2::Config cfg;
-  cfg.default_layout = state.range(0) == 0 ? op2::Layout::AoS : op2::Layout::SoA;
-  op2::Context ctx(cfg);
+  op2::Context ctx;
   auto& rows = ctx.decl_set("rows", kRows);
   const auto id = [](int i, int j, int k) {
     return static_cast<index_t>((((k + kNz) % kNz) * kNy + (j + kNy) % kNy) * kNx +
@@ -211,7 +198,7 @@ void BM_StencilSpmv(benchmark::State& state) {
   state.counters["time_per_row"] = benchmark::Counter(
       kRows, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_StencilSpmv)->Arg(0)->Arg(1);
+BENCHMARK(BM_StencilSpmv);
 
 void BM_ColoringBuild(benchmark::State& state) {
   const auto mesh = bench_mesh(static_cast<int>(state.range(0)));
@@ -361,229 +348,9 @@ void BM_BruteForceQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_BruteForceQuery)->Arg(1)->Arg(4)->Arg(16);
 
-// --- data-layout sweep (BENCH_layout.json) ----------------------------------
-
-struct LayoutSpec {
-  const char* tag;
-  op2::Layout layout;
-  int block;
-};
-
-constexpr LayoutSpec kLayouts[] = {{"aos", op2::Layout::AoS, 1},
-                                   {"soa", op2::Layout::SoA, 1},
-                                   {"aosoa4", op2::Layout::AoSoA, 4},
-                                   {"aosoa8", op2::Layout::AoSoA, 8}};
-
-/// Runs `body` (one full pass over n elements) repeatedly, doubling the
-/// iteration count until a single measurement exceeds ~120 ms, and returns
-/// elements per second — best of five repetitions, since the sweep's
-/// pass/fail ratios should reflect the code, not scheduler noise. (Dim-1
-/// layouts are byte-identical in memory, so indirect-loop ratios near 1.0
-/// are all noise; short windows were seen to scatter them by +/-8%.)
-template <class F>
-double measure_rate(index_t n, F&& body) {
-  body();  // warm-up: plans built, halo lists cached, caches touched
-  long iters = 1;
-  double best = 0.0;
-  for (int rep = 0; rep < 5;) {
-    util::Timer t;
-    for (long i = 0; i < iters; ++i) body();
-    const double s = t.elapsed();
-    if (s <= 0.12) {
-      iters *= 2;
-      continue;
-    }
-    best = std::max(best, static_cast<double>(n) * static_cast<double>(iters) / s);
-    ++rep;
-  }
-  return best;
-}
-
-struct LayoutRates {
-  double direct_eps;     ///< dim-1 saxpy over cells (vectorized path non-AoS)
-  double direct3_eps;    ///< dim-3 direct update (staged path non-AoS)
-  double indirect_eps;   ///< dim-1 edge-flux increments through f2c
-};
-
-/// Each measurement builds a fresh context so earlier loops cannot pollute
-/// the cache state or the adaptive iteration counts of later ones.
-struct LayoutCtx {
-  LayoutCtx(const rig::AnnulusMesh& mesh, const LayoutSpec& spec)
-      : ctx(make_cfg(spec)),
-        cells(ctx.decl_set("cells", mesh.ncell)),
-        faces(ctx.decl_set("faces", mesh.nface)),
-        f2c(ctx.decl_map("f2c", faces, cells, 2, mesh.face2cell)),
-        x(ctx.decl_dat<double>(cells, 1, "x")),
-        y(ctx.decl_dat<double>(cells, 1, "y")),
-        q(ctx.decl_dat<double>(cells, 3, "q")),
-        res(ctx.decl_dat<double>(cells, 1, "res")) {
-    // A non-uniform static field: keeps the flux differences O(1) so no
-    // measurement drifts into denormals regardless of how many passes the
-    // adaptive timer runs.
-    op2::par_loop("init", cells,
-                  [](const op2::gindex_t* gid, double* xv, double* yv, double* qv) {
-                    *xv = 1.0 + 0.5 * static_cast<double>(*gid % 17);
-                    *yv = 0.5;
-                    qv[0] = 1.0;
-                    qv[1] = 2.0;
-                    qv[2] = 3.0;
-                  },
-                  op2::arg_idx(), op2::write(x), op2::write(y), op2::write(q));
-  }
-  static op2::Config make_cfg(const LayoutSpec& spec) {
-    op2::Config cfg;
-    cfg.default_layout = spec.layout;
-    cfg.aosoa_block = spec.block;
-    return cfg;
-  }
-  op2::Context ctx;
-  op2::Set& cells;
-  op2::Set& faces;
-  op2::Map& f2c;
-  op2::Dat<double>& x;
-  op2::Dat<double>& y;
-  op2::Dat<double>& q;
-  op2::Dat<double>& res;
-};
-
-LayoutRates run_layout_case(const LayoutSpec& spec, const rig::AnnulusMesh& mesh) {
-  LayoutRates r{};
-  {
-    LayoutCtx c(mesh, spec);
-    r.direct_eps = measure_rate(mesh.ncell, [&] {
-      op2::par_loop("saxpy", c.cells,
-                    [](const double* a, double* b) { *b = 0.999 * *b + 0.001 * *a; },
-                    op2::read(c.x), op2::rw(c.y));
-    });
-  }
-  {
-    LayoutCtx c(mesh, spec);
-    r.direct3_eps = measure_rate(mesh.ncell, [&] {
-      op2::par_loop("update3", c.cells,
-                    [](const double* a, double* qq) {
-                      qq[0] += 0.001 * *a;
-                      qq[1] -= 0.001 * *a;
-                      qq[2] += 0.0005 * (qq[0] - qq[1]);
-                    },
-                    op2::read(c.x), op2::rw(c.q));
-    });
-  }
-  return r;
-}
-
-void flux_pass(LayoutCtx& c) {
-  op2::par_loop("flux", c.faces,
-                [](const double* a, const double* b, double* ra, double* rb) {
-                  const double fl = 0.5 * (*b - *a);
-                  *ra += fl;
-                  *rb -= fl;
-                },
-                op2::read(c.x, c.f2c, 0), op2::read(c.x, c.f2c, 1),
-                op2::inc(c.res, c.f2c, 0), op2::inc(c.res, c.f2c, 1));
-}
-
-struct IndirectSweep {
-  std::array<double, std::size(kLayouts)> best_eps;       ///< best-of-reps rate per layout
-  std::array<double, std::size(kLayouts)> best_vs_first;  ///< best per-rep ratio vs kLayouts[0]
-};
-
-/// Indirect rates, measured round-robin across the layouts: the acceptance
-/// ratio is worst-layout / AoS, and with one-layout-at-a-time timing any
-/// slow phase of machine load lands on a single layout and the min() turns
-/// that drift straight into a spurious "regression". Cycling layouts per
-/// repetition biases every layout by the same drift, and the gate ratio is
-/// computed per repetition (temporally adjacent windows) with the best rep
-/// kept per layout — one clean repetition is enough to clear a layout even
-/// on a contended single-core box. (For dim-1 dats all four layouts are
-/// byte-identical in memory, so a true ratio far from 1.0 would indicate an
-/// executor bug, not a layout cost.)
-IndirectSweep measure_indirect_interleaved(const rig::AnnulusMesh& mesh) {
-  constexpr std::size_t kNL = std::size(kLayouts);
-  constexpr int kReps = 5;
-  std::vector<std::unique_ptr<LayoutCtx>> ctxs;
-  ctxs.reserve(kNL);
-  for (const auto& spec : kLayouts) ctxs.push_back(std::make_unique<LayoutCtx>(mesh, spec));
-  IndirectSweep out{};
-  std::array<long, kNL> iters;
-  iters.fill(1);
-  for (auto& c : ctxs) flux_pass(*c);  // warm-up: plans built, caches touched
-  for (int rep = 0; rep < kReps; ++rep) {
-    std::array<double, kNL> rate{};
-    for (std::size_t l = 0; l < kNL; ++l) {
-      for (;;) {
-        util::Timer t;
-        for (long i = 0; i < iters[l]; ++i) flux_pass(*ctxs[l]);
-        const double s = t.elapsed();
-        if (s <= 0.12) {
-          iters[l] *= 2;
-          continue;
-        }
-        rate[l] = static_cast<double>(mesh.nface) * static_cast<double>(iters[l]) / s;
-        break;
-      }
-      out.best_eps[l] = std::max(out.best_eps[l], rate[l]);
-      out.best_vs_first[l] =
-          std::max(out.best_vs_first[l], rate[0] > 0.0 ? rate[l] / rate[0] : 0.0);
-    }
-  }
-  return out;
-}
-
-void run_layout_sweep() {
-  bench::header("op2 data-layout sweep: AoS / SoA / AoSoA x direct / indirect",
-                "DESIGN.md §8 layout engine");
-  const int scale = 8;  // ~74k cells: larger than L2, fits in LLC
-  const auto mesh = bench_mesh(scale);
-
-  // Bytes moved per element: saxpy reads x + reads/writes y (24 B); the
-  // dim-3 update reads x + reads/writes q (56 B); the flux reads two y and
-  // reads/writes two res entries (48 B per face).
-  constexpr double kDirectBytes = 24.0;
-  constexpr double kDirect3Bytes = 56.0;
-  constexpr double kIndirectBytes = 48.0;
-
-  std::vector<std::pair<std::string, double>> metrics;
-  double aos_direct = 0.0;
-  double soa_direct = 0.0;
-  const auto indirect = measure_indirect_interleaved(mesh);
-  for (std::size_t li = 0; li < std::size(kLayouts); ++li) {
-    const auto& spec = kLayouts[li];
-    auto r = run_layout_case(spec, mesh);
-    r.indirect_eps = indirect.best_eps[li];
-    std::printf("  %-7s direct %8.1f Me/s (%6.2f GB/s)   direct3 %8.1f Me/s   "
-                "indirect %8.1f Me/s (%6.2f GB/s)\n",
-                spec.tag, r.direct_eps / 1e6, r.direct_eps * kDirectBytes / 1e9,
-                r.direct3_eps / 1e6, r.indirect_eps / 1e6,
-                r.indirect_eps * kIndirectBytes / 1e9);
-    const std::string t = spec.tag;
-    metrics.emplace_back("direct_" + t + "_elems_per_s", r.direct_eps);
-    metrics.emplace_back("direct_" + t + "_bytes_per_s", r.direct_eps * kDirectBytes);
-    metrics.emplace_back("direct3_" + t + "_elems_per_s", r.direct3_eps);
-    metrics.emplace_back("direct3_" + t + "_bytes_per_s", r.direct3_eps * kDirect3Bytes);
-    metrics.emplace_back("indirect_" + t + "_elems_per_s", r.indirect_eps);
-    metrics.emplace_back("indirect_" + t + "_bytes_per_s", r.indirect_eps * kIndirectBytes);
-    if (t == "aos") aos_direct = r.direct_eps;
-    if (t == "soa") soa_direct = r.direct_eps;
-  }
-  const double speedup = aos_direct > 0 ? soa_direct / aos_direct : 0.0;
-  // Worst layout's best temporally-paired ratio vs AoS (kLayouts[0] = aos,
-  // whose own ratio is identically 1), see measure_indirect_interleaved.
-  double regression = 1e300;
-  for (const double v : indirect.best_vs_first) regression = std::min(regression, v);
-  metrics.emplace_back("direct_soa_speedup_vs_aos", speedup);
-  metrics.emplace_back("indirect_worst_vs_aos", regression);
-  std::printf("  SoA/AoS direct speedup: %.2fx   worst indirect vs AoS: %.3fx\n",
-              speedup, regression);
-  bench::write_bench_json("layout", metrics);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  run_layout_sweep();
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--layout-only") == 0) return 0;
-  }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -25,7 +25,7 @@ struct SpmvKernel {
 #pragma GCC unroll 8
     for (int c = 0; c < D; ++c) sum[c] = 0.0;
     for (int j = 0; j < k; ++j) {
-      const auto xj = x.elem(cols[j]);
+      const double* xj = x.elem(cols[j]);
       const double aj = a[j];
 #pragma GCC unroll 8
       for (int c = 0; c < D; ++c) sum[c] += aj * xj[c];

@@ -7,7 +7,7 @@
 // contract; unused slots pad with the row itself and a zero coefficient,
 // which is bitwise-neutral in the SpMV fold) plus a dim-K coefficient Dat.
 // SpMV is then one indirect-read par_loop per row — the kernel walks the
-// stencil row (op2::row) and reads x through a gather-free layout-aware view
+// stencil row (op2::row) and reads x through a gather-free view
 // (op2::read_span) — so the halo exchange, latency hiding and loop-chain
 // fusion machinery apply to the solve exactly as to any other loop.
 //

@@ -82,20 +82,10 @@ class Context {
                 std::vector<index_t> global_table);
   template <class T>
   Dat<T>& decl_dat(Set& s, int dim, std::string name, std::vector<T> global_data = {}) {
-    return decl_dat<T>(s, dim, std::move(name), std::move(global_data),
-                       cfg_.default_layout, cfg_.aosoa_block);
-  }
-  /// Per-dat layout override (global_data is always given in AoS order; the
-  /// declaration converts to the requested layout). block == 0 uses the
-  /// configured AoSoA block width.
-  template <class T>
-  Dat<T>& decl_dat(Set& s, int dim, std::string name, std::vector<T> global_data,
-                   Layout layout, int block = 0) {
     require_not_partitioned("decl_dat");
     auto dat = std::unique_ptr<Dat<T>>(
         new Dat<T>(&s, next_dat_id(), std::move(name), dim, std::move(global_data)));
     auto* ptr = dat.get();
-    ptr->set_layout_storage(layout, block > 0 ? block : cfg_.aosoa_block);
     register_dat(std::move(dat));
     return *ptr;
   }
@@ -160,15 +150,6 @@ class Context {
   [[nodiscard]] const SetHalo& halo(const Set& s) const {
     return halos_[static_cast<std::size_t>(s.id())];
   }
-
-  // --- layout registry ------------------------------------------------------
-  /// Converts a dat's storage to the given layout in place (values are
-  /// preserved; any cached plan re-evaluates its vectorizable predicate on
-  /// the next invocation). block == 0 uses the configured AoSoA width.
-  void set_layout(DatBase& d, Layout layout, int block = 0);
-  /// Bumped on every set_layout(); plans cache their vectorizable decision
-  /// against it.
-  [[nodiscard]] std::uint64_t layout_epoch() const { return layout_epoch_; }
 
   /// Halo send-site payload growth events; flat after warm-up (tested).
   [[nodiscard]] std::uint64_t halo_buffer_allocs() const { return halo_buf_allocs_; }
@@ -426,7 +407,6 @@ class Context {
   std::vector<SetHalo> halos_;  // indexed by set id
   std::map<std::string, std::unique_ptr<LoopPlan>> plans_;
   std::map<std::string, std::unique_ptr<ChainPlan>> chains_;
-  std::uint64_t layout_epoch_ = 1;
   std::uint64_t halo_buf_allocs_ = 0;
 
   // Plan cache wiring (plansnap.cpp); not owned.

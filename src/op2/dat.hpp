@@ -3,19 +3,15 @@
 // op2::Global<T> — per-rank global values used for reductions (residual
 // norms, CFL limits) and read-only parameters passed into kernels.
 //
-// Storage layout is runtime-selectable (DESIGN.md §8): AoS (the reference
-// and I/O normal form), SoA (contiguous per-component columns for SIMD over
-// direct loops) and blocked AoSoA. Kernels stay element-wise regardless:
-// the par_loop executor hands out unit-stride pointers where the layout
-// permits and stages elements through scratch blocks where it does not.
-// The type-erased gather/scatter entry points move element payloads in AoS
-// order so halo packing, renumbering and I/O never assume a layout.
+// Storage is array-of-structures (DESIGN.md §8): element e's dim
+// components sit contiguously at data() + e*dim, so a kernel pointer is a
+// plain offset and halo packing and renumbering move whole elements with
+// one memcpy each.
 //
 // Halo coherence uses epochs rather than a single dirty bit so the partial
 // halo exchange optimization (Table III "PH") can track cleanliness per
 // loop plan: every write bumps write_epoch(); an exchange records the epoch
 // it made (a subset of) the halo consistent with.
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -39,36 +35,20 @@ class DatBase {
   [[nodiscard]] int dim() const { return dim_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] int id() const { return id_; }
-  /// Payload bytes per element (dim * sizeof(T)) — layout-independent.
+  /// Payload bytes per element (dim * sizeof(T)).
   [[nodiscard]] std::size_t elem_bytes() const { return elem_bytes_; }
 
-  // --- layout ---------------------------------------------------------------
-  [[nodiscard]] Layout layout() const { return layout_; }
-  /// AoSoA block width W (1 for AoS/SoA).
-  [[nodiscard]] int block() const { return block_; }
   /// Number of local elements (global size before partitioning).
   [[nodiscard]] index_t size() const { return nelem_; }
-  /// Storage capacity in elements (== size() except AoSoA, which pads to a
-  /// multiple of the block width; padding lanes are zero and never visited).
-  [[nodiscard]] index_t capacity() const { return cap_; }
-  /// True when element e's components are contiguous in memory, i.e. a plain
-  /// `base + e*elem_stride()` pointer is valid for kernels. Holds for AoS
-  /// always and for every layout when dim == 1.
-  [[nodiscard]] bool unit_stride() const { return layout_ == Layout::AoS || dim_ == 1; }
-  /// Distance in T-units between consecutive elements' component 0. Only
-  /// meaningful when unit_stride().
-  [[nodiscard]] std::size_t elem_stride() const {
-    return layout_ == Layout::AoS ? static_cast<std::size_t>(dim_) : 1;
-  }
 
   [[nodiscard]] virtual std::byte* raw() = 0;
   [[nodiscard]] virtual const std::byte* raw() const = 0;
 
-  /// Packs the payloads of `elems` into `out` in AoS order (elem_bytes()
-  /// per element, in the order given) regardless of the storage layout.
+  /// Packs the payloads of `elems` into `out` (elem_bytes() per element,
+  /// in the order given).
   virtual void gather_elems(std::span<const index_t> elems, std::byte* out) const = 0;
-  /// Inverse of gather_elems: unpacks AoS-ordered payloads from `in` into
-  /// the elements named by `elems`.
+  /// Inverse of gather_elems: unpacks payloads from `in` into the elements
+  /// named by `elems`.
   virtual void scatter_elems(std::span<const index_t> elems, const std::byte* in) = 0;
 
   /// Epoch of the last write (any loop or external writer touching the dat).
@@ -93,25 +73,13 @@ class DatBase {
   /// *pre-partition rows* of this dat (global ids in monolithic mode — they
   /// fit index_t by the decl_set guard — shard rows in sharded mode).
   virtual void localize(std::span<const index_t> src) = 0;
-  /// Converts storage to the given layout, preserving every element's value.
-  virtual void set_layout_storage(Layout layout, int block) = 0;
-
-  [[nodiscard]] static index_t padded(index_t n, Layout l, int block) {
-    if (l != Layout::AoSoA) return n;
-    const index_t w = static_cast<index_t>(block);
-    return (n + w - 1) / w * w;
-  }
 
   Set* set_;
   int id_;
   std::string name_;
   int dim_;
   std::size_t elem_bytes_;
-  Layout layout_ = Layout::AoS;
-  int block_ = 1;    ///< AoSoA block width W (power of two); 1 otherwise
-  int bshift_ = 0;   ///< log2(block_)
   index_t nelem_ = 0;
-  index_t cap_ = 0;
   std::uint64_t write_epoch_ = 1;       // starts dirty-equal: halo starts clean
   std::uint64_t halo_clean_epoch_ = 1;  // (localize() copies halo values too)
 };
@@ -126,21 +94,13 @@ class Dat final : public DatBase {
   [[nodiscard]] std::span<T> span() { return data_; }
   [[nodiscard]] std::span<const T> span() const { return data_; }
 
-  /// Layout-aware component access: element e, component c.
+  /// Element e, component c.
   [[nodiscard]] T& at(index_t e, int c) { return data_[off(e, c)]; }
   [[nodiscard]] const T& at(index_t e, int c) const { return data_[off(e, c)]; }
 
-  /// Pointer to element e's components. Only valid when the layout keeps
-  /// components contiguous (unit_stride()); layout-generic code must use
-  /// at() or gather_elems()/scatter_elems().
-  [[nodiscard]] T* elem(index_t e) {
-    assert(unit_stride());
-    return data_.data() + static_cast<std::size_t>(e) * elem_stride();
-  }
-  [[nodiscard]] const T* elem(index_t e) const {
-    assert(unit_stride());
-    return data_.data() + static_cast<std::size_t>(e) * elem_stride();
-  }
+  /// Pointer to element e's dim() contiguous components.
+  [[nodiscard]] T* elem(index_t e) { return data_.data() + off(e, 0); }
+  [[nodiscard]] const T* elem(index_t e) const { return data_.data() + off(e, 0); }
 
   [[nodiscard]] std::byte* raw() override { return reinterpret_cast<std::byte*>(data_.data()); }
   [[nodiscard]] const std::byte* raw() const override {
@@ -148,37 +108,14 @@ class Dat final : public DatBase {
   }
 
   void gather_elems(std::span<const index_t> elems, std::byte* out) const override {
-    const std::size_t d = static_cast<std::size_t>(dim_);
-    if (unit_stride()) {
-      for (std::size_t k = 0; k < elems.size(); ++k) {
-        std::memcpy(out + k * elem_bytes_,
-                    data_.data() + static_cast<std::size_t>(elems[k]) * elem_stride(),
-                    elem_bytes_);
-      }
-      return;
-    }
     for (std::size_t k = 0; k < elems.size(); ++k) {
-      for (std::size_t c = 0; c < d; ++c) {
-        std::memcpy(out + k * elem_bytes_ + c * sizeof(T),
-                    data_.data() + off(elems[k], static_cast<int>(c)), sizeof(T));
-      }
+      std::memcpy(out + k * elem_bytes_, elem(elems[k]), elem_bytes_);
     }
   }
 
   void scatter_elems(std::span<const index_t> elems, const std::byte* in) override {
-    const std::size_t d = static_cast<std::size_t>(dim_);
-    if (unit_stride()) {
-      for (std::size_t k = 0; k < elems.size(); ++k) {
-        std::memcpy(data_.data() + static_cast<std::size_t>(elems[k]) * elem_stride(),
-                    in + k * elem_bytes_, elem_bytes_);
-      }
-      return;
-    }
     for (std::size_t k = 0; k < elems.size(); ++k) {
-      for (std::size_t c = 0; c < d; ++c) {
-        std::memcpy(data_.data() + off(elems[k], static_cast<int>(c)),
-                    in + k * elem_bytes_ + c * sizeof(T), sizeof(T));
-      }
+      std::memcpy(elem(elems[k]), in + k * elem_bytes_, elem_bytes_);
     }
   }
 
@@ -188,68 +125,21 @@ class Dat final : public DatBase {
       : DatBase(set, id, std::move(name), dim, sizeof(T) * static_cast<std::size_t>(dim)),
         data_(std::move(global_data)) {
     nelem_ = set->decl_rows();
-    cap_ = nelem_;  // constructed AoS; Context applies the configured layout
     data_.resize(static_cast<std::size_t>(nelem_) * static_cast<std::size_t>(dim));
   }
 
   [[nodiscard]] std::size_t off(index_t e, int c) const {
-    const auto eu = static_cast<std::size_t>(e);
-    const auto cu = static_cast<std::size_t>(c);
-    const auto du = static_cast<std::size_t>(dim_);
-    switch (layout_) {
-      case Layout::AoS: return eu * du + cu;
-      case Layout::SoA: return cu * static_cast<std::size_t>(cap_) + eu;
-      case Layout::AoSoA:
-        return (((eu >> bshift_) * du + cu) << bshift_) +
-               (eu & static_cast<std::size_t>(block_ - 1));
-    }
-    return 0;  // unreachable
-  }
-
-  [[nodiscard]] std::size_t storage_count() const {
-    return static_cast<std::size_t>(cap_) * static_cast<std::size_t>(dim_);
+    return static_cast<std::size_t>(e) * static_cast<std::size_t>(dim_) +
+           static_cast<std::size_t>(c);
   }
 
   void localize(std::span<const index_t> l2g) override {
-    const std::size_t d = static_cast<std::size_t>(dim_);
-    std::vector<T> local(l2g.size() * d);  // AoS staging of the local window
+    std::vector<T> local(l2g.size() * static_cast<std::size_t>(dim_));
     for (std::size_t l = 0; l < l2g.size(); ++l) {
-      for (std::size_t c = 0; c < d; ++c) {
-        local[l * d + c] = at(l2g[l], static_cast<int>(c));
-      }
+      std::memcpy(local.data() + l * static_cast<std::size_t>(dim_), elem(l2g[l]), elem_bytes_);
     }
     nelem_ = static_cast<index_t>(l2g.size());
-    cap_ = padded(nelem_, layout_, block_);
-    data_.assign(storage_count(), T{});
-    for (std::size_t l = 0; l < l2g.size(); ++l) {
-      for (std::size_t c = 0; c < d; ++c) {
-        at(static_cast<index_t>(l), static_cast<int>(c)) = local[l * d + c];
-      }
-    }
-  }
-
-  void set_layout_storage(Layout layout, int block) override {
-    if (layout != Layout::AoSoA) block = 1;
-    if (layout == layout_ && block == block_) return;
-    const std::size_t d = static_cast<std::size_t>(dim_);
-    const auto n = static_cast<std::size_t>(nelem_);
-    std::vector<T> aos(n * d);
-    for (std::size_t e = 0; e < n; ++e) {
-      for (std::size_t c = 0; c < d; ++c) {
-        aos[e * d + c] = at(static_cast<index_t>(e), static_cast<int>(c));
-      }
-    }
-    layout_ = layout;
-    block_ = block;
-    bshift_ = 0;
-    while ((1 << bshift_) < block_) ++bshift_;
-    cap_ = padded(nelem_, layout_, block_);
-    data_.assign(storage_count(), T{});
-    for (std::size_t e = 0; e < n; ++e) {
-      for (std::size_t c = 0; c < d; ++c) {
-        at(static_cast<index_t>(e), static_cast<int>(c)) = aos[e * d + c];
-      }
-    }
+    data_ = std::move(local);
   }
 
   std::vector<T> data_;

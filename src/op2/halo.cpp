@@ -497,8 +497,7 @@ Context::PendingExchange Context::exchange_begin(LoopPlan& plan,
     if (dirty.empty()) continue;
 
     if (cfg_.grouped_halos) {
-      // One message per neighbor packing every dirty dat. Payloads are
-      // packed in AoS order through the dat's layout (gather_elems).
+      // One message per neighbor packing every dirty dat (gather_elems).
       for (std::size_t i = 0; i < nbr_send.size(); ++i) {
         plan.halo_bytes += halo_pack_send(sc, i, send_idx[i], dirty, nbr_send[i],
                                           kTagGroupBase + s.id(), s);

@@ -17,14 +17,9 @@
 //
 // The loop body is written purely element-wise; the runtime supplies the
 // parallelization: distributed halo exchanges with latency hiding,
-// redundant execution over the exec halo for indirect increments,
-// conflict-free coloring for shared-memory workers — and, with the layout
-// engine (DESIGN.md §8), a vectorized path: when the plan is
-// layout-vectorizable (direct unit-stride args over a contiguous element
-// range) the executor iterates the index range under a SIMD hint with pure
-// strided addressing; otherwise non-unit-stride (SoA/AoSoA, dim > 1)
-// arguments are staged through per-thread scratch blocks (OP2's gather
-// staging) so kernels never see the layout.
+// redundant execution over the exec halo for indirect increments and
+// conflict-free coloring for shared-memory workers. Dats are stored AoS
+// (DESIGN.md §8), so a kernel pointer is the element's storage address.
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
@@ -46,28 +41,11 @@
 #include "src/util/timer.hpp"
 #include "src/util/trace.hpp"
 
-// Vectorization hint for the layout-vectorizable path. The loop body is
-// pure strided arithmetic with no aliasing hazards (the plan predicate
-// guarantees direct access and read-only globals), so the hint is safe.
-// VCGT_SIMD_OMP (the `simd` CMake preset, -fopenmp-simd) selects `omp simd`;
-// otherwise use the compiler-native ivdep-style hint.
-#if defined(VCGT_SIMD_OMP)
-#define VCGT_SIMD _Pragma("omp simd")
-#elif defined(__clang__)
-#define VCGT_SIMD _Pragma("clang loop vectorize(enable)")
-#elif defined(__GNUC__)
-#define VCGT_SIMD _Pragma("GCC ivdep")
-#else
-#define VCGT_SIMD
-#endif
-
-// The per-element argument helpers below (tgt, pre, post, lane, vptr) run
-// once per argument per element, and DatSpan::elem once per stencil column.
-// GCC would keep them out of line once run_elements' three paths reach its
-// inlining limits, and an out-of-line call per argument per element then
-// costs more than most kernels' own work; so they are forced inline. The
-// staged-lane gather/scatter they call on non-unit-stride layouts is left
-// to the compiler's judgement.
+// The per-element argument helpers below (tgt, pre) run once per argument
+// per element, and DatSpan::elem once per stencil column. GCC would keep
+// them out of line in large par_loop/LoopChain instantiations, and an
+// out-of-line call per argument per element then costs more than most
+// kernels' own work; so they are forced inline.
 #define VCGT_OP2_PER_ELEM [[gnu::always_inline]] inline
 
 namespace vcgt::op2 {
@@ -166,41 +144,17 @@ template <class T>
 
 // --- gather-free row access (CSR/stencil pattern, DESIGN.md §11) ------------
 
-/// One element of a DatSpan: component c sits at p[c * stride] (stride 1
-/// under AoS, the column height under SoA, the block width under AoSoA).
-template <class T>
-struct ElemView {
-  const T* p;
-  std::size_t stride;
-  [[nodiscard]] VCGT_OP2_PER_ELEM const T& operator[](int c) const {
-    return p[static_cast<std::size_t>(c) * stride];
-  }
-};
-
 /// Kernel-facing whole-dat read view handed out by op2::read_span: indexes
 /// the dat by *local* element id — normally a column id taken from the
-/// map row an op2::row argument supplies — with layout-aware addressing,
-/// so SpMV-style kernels walk a stencil row without per-slot gathers under
-/// any storage layout. elem() resolves the layout once per element; the
-/// kernel then reads its components at a fixed stride.
+/// map row an op2::row argument supplies — so SpMV-style kernels walk a
+/// stencil row without per-slot gathers. elem(e) points at element e's
+/// dim() contiguous components.
 template <class T>
 struct DatSpan {
   const T* base = nullptr;
   int ddim = 0;
-  Layout layout = Layout::AoS;
-  std::size_t cap = 0;  ///< SoA column height (padded element capacity)
-  int bshift = 0;       ///< log2(AoSoA block)
-  index_t bmask = 0;    ///< AoSoA block - 1
-  [[nodiscard]] VCGT_OP2_PER_ELEM ElemView<T> elem(index_t e) const {
-    const auto eu = static_cast<std::size_t>(e);
-    switch (layout) {
-      case Layout::SoA: return {base + eu, cap};
-      case Layout::AoSoA:
-        return {base + ((((eu >> bshift) * static_cast<std::size_t>(ddim)) << bshift) +
-                        (eu & static_cast<std::size_t>(bmask))),
-                std::size_t{1} << bshift};
-      default: return {base + eu * static_cast<std::size_t>(ddim), 1};
-    }
+  [[nodiscard]] VCGT_OP2_PER_ELEM const T* elem(index_t e) const {
+    return base + static_cast<std::size_t>(e) * static_cast<std::size_t>(ddim);
   }
   [[nodiscard]] int dim() const { return ddim; }
 };
@@ -229,11 +183,6 @@ struct RowArg {
 
 namespace detail {
 
-/// Elements staged per chunk through a scratch block: small enough to stay
-/// in L1 alongside the kernel's working set, large enough to amortize the
-/// gather (OP2's AoSoA mini-block).
-constexpr int kStage = 16;
-
 template <class T, Access A>
 ArgInfo to_info(const DatArg<T, A>& a) {
   return ArgInfo{a.dat, a.map, a.idx, A, false};
@@ -259,10 +208,8 @@ inline ArgInfo to_info(const RowArg& a) {
 template <class T, Access A>
 using KernelPtr = std::conditional_t<A == Access::Read, const T*, T*>;
 
-/// A dat argument bound to one worker: raw pointers plus the layout
-/// parameters needed to stage non-unit-stride elements. The access mode
-/// stays in the type, so constness and write-back are decided at compile
-/// time.
+/// A dat argument bound to one worker. The access mode stays in the type,
+/// so constness is decided at compile time.
 template <class T, Access A>
 struct BoundDat {
   T* base;
@@ -270,12 +217,6 @@ struct BoundDat {
   int mdim;
   int idx;
   int ddim;
-  Layout layout;
-  std::size_t estride;  ///< element stride (valid when scratch == null)
-  std::size_t cap;      ///< SoA column height (elements)
-  int bshift;           ///< log2(AoSoA block)
-  index_t bmask;        ///< AoSoA block - 1
-  T* scratch;           ///< null: direct pointers; else kStage*ddim lane block
 };
 template <class T, Access A>
 struct BoundGbl {
@@ -301,47 +242,13 @@ template <class T, Access A>
              : e;
 }
 
-// Lane load/store for staged (non-unit-stride) dats: gathers element t's
-// components into a contiguous lane, scatters them back after the kernel.
-// Under SoA and AoSoA, component c of element t sits at off + c * step.
-template <class T, Access A>
-[[nodiscard]] inline std::pair<std::size_t, std::size_t> staged_addr(const BoundDat<T, A>& b,
-                                                                     index_t t) {
-  const auto tu = static_cast<std::size_t>(t);
-  if (b.layout == Layout::SoA) return {tu, b.cap};
-  return {(((tu >> b.bshift) * static_cast<std::size_t>(b.ddim)) << b.bshift) +
-              (tu & static_cast<std::size_t>(b.bmask)),
-          std::size_t{1} << b.bshift};
-}
-template <class T, Access A>
-inline void load_lane(const BoundDat<T, A>& b, index_t t, T* lane) {
-  const auto [off, step] = staged_addr(b, t);
-  for (int c = 0; c < b.ddim; ++c) lane[c] = b.base[off + static_cast<std::size_t>(c) * step];
-}
-template <class T, Access A>
-inline void store_lane(const BoundDat<T, A>& b, index_t t, const T* lane) {
-  const auto [off, step] = staged_addr(b, t);
-  for (int c = 0; c < b.ddim; ++c) b.base[off + static_cast<std::size_t>(c) * step] = lane[c];
-}
+// --- per-element resolution -------------------------------------------------
 
-// --- per-element resolution (scalar path) -----------------------------------
-
-/// Kernel pointer for element e: direct storage pointer when unit-stride,
-/// else gather into the scratch lane (written back by post()).
+/// Kernel pointer for element e: the storage address of its target.
 template <class T, Access A>
 [[nodiscard]] VCGT_OP2_PER_ELEM KernelPtr<T, A> pre(BoundDat<T, A>& b, index_t e) {
-  const index_t t = tgt(b, e);
-  if (!b.scratch) return b.base + static_cast<std::size_t>(t) * b.estride;
-  load_lane(b, t, b.scratch);
-  return b.scratch;
+  return b.base + static_cast<std::size_t>(tgt(b, e)) * static_cast<std::size_t>(b.ddim);
 }
-template <class T, Access A>
-VCGT_OP2_PER_ELEM void post(BoundDat<T, A>& b, index_t e) {
-  if constexpr (access_writes(A)) {
-    if (b.scratch) store_lane(b, tgt(b, e), b.scratch);
-  }
-}
-
 template <class T, Access A>
 [[nodiscard]] VCGT_OP2_PER_ELEM KernelPtr<T, A> pre(BoundGbl<T, A>& b, index_t) {
   return b.ptr;
@@ -354,94 +261,16 @@ template <class T>
 [[nodiscard]] VCGT_OP2_PER_ELEM const index_t* pre(BoundRow& b, index_t e) {
   return b.table + static_cast<std::size_t>(e) * static_cast<std::size_t>(b.mdim);
 }
-template <class B>
-VCGT_OP2_PER_ELEM void post(B&, index_t) {}
-
-// --- chunked staging (scalar path over conflict-free element sources) -------
-
-template <class T, Access A>
-[[nodiscard]] inline bool is_staged(const BoundDat<T, A>& b) {
-  return b.scratch != nullptr;
-}
-template <class B>
-[[nodiscard]] inline bool is_staged(const B&) {
-  return false;
-}
-
-/// Gathers elements src[p .. p+m) into consecutive scratch lanes. Flattened,
-/// so a chunk costs at most one call, not one per element.
-template <class T, Access A, class Src>
-[[gnu::flatten]] inline void stage_in(BoundDat<T, A>& b, const Src& src, std::size_t p, int m) {
-  if (!b.scratch) return;
-  for (int k = 0; k < m; ++k) {
-    load_lane(b, tgt(b, src[p + static_cast<std::size_t>(k)]),
-              b.scratch + static_cast<std::size_t>(k * b.ddim));
-  }
-}
-/// Scatters the lanes of a written argument back to elements src[p .. p+m).
-template <class T, Access A, class Src>
-[[gnu::flatten]] inline void stage_out(BoundDat<T, A>& b, const Src& src, std::size_t p, int m) {
-  if constexpr (access_writes(A)) {
-    if (!b.scratch) return;
-    for (int k = 0; k < m; ++k) {
-      store_lane(b, tgt(b, src[p + static_cast<std::size_t>(k)]),
-                 b.scratch + static_cast<std::size_t>(k * b.ddim));
-    }
-  }
-}
-template <class B, class Src>
-inline void stage_in(B&, const Src&, std::size_t, int) {}
-template <class B, class Src>
-inline void stage_out(B&, const Src&, std::size_t, int) {}
-
-/// Kernel pointer for chunk lane k (element e): the staged lane when
-/// staged, the plain storage pointer otherwise.
-template <class T, Access A>
-[[nodiscard]] VCGT_OP2_PER_ELEM KernelPtr<T, A> lane(BoundDat<T, A>& b, index_t e, int k) {
-  if (!b.scratch) return b.base + static_cast<std::size_t>(tgt(b, e)) * b.estride;
-  return b.scratch + static_cast<std::size_t>(k * b.ddim);
-}
-template <class B>
-[[nodiscard]] VCGT_OP2_PER_ELEM auto lane(B& b, index_t e, int) {
-  return pre(b, e);
-}
-
-// --- vectorized resolution (contiguous direct unit-stride path) -------------
-// Only reached when the plan is layout-vectorizable: every dat argument is
-// direct and unit-stride (never staged) and globals are read-only, so the
-// body is branch-free strided arithmetic the compiler can vectorize.
-
-template <class T, Access A>
-[[nodiscard]] VCGT_OP2_PER_ELEM KernelPtr<T, A> vptr(BoundDat<T, A>& b, index_t e) {
-  return b.base + static_cast<std::size_t>(e) * b.estride;
-}
-template <class B>
-[[nodiscard]] VCGT_OP2_PER_ELEM auto vptr(B& b, index_t e) {
-  return pre(b, e);
-}
 
 // --- scratch ----------------------------------------------------------------
 
 struct NoScratch {};
-template <class T>
-struct DatScratch {
-  std::vector<T> buf;  ///< nthreads * kStage * dim; empty when unstaged
-};
 template <class T>
 struct GblScratch {
   std::vector<T> buf;  ///< nthreads * dim, initialized per access mode
   int dim;
 };
 
-template <class T, Access A>
-DatScratch<T> make_scratch(const DatArg<T, A>& a, int nthreads) {
-  DatScratch<T> s;
-  if (!a.dat->unit_stride()) {
-    s.buf.resize(static_cast<std::size_t>(nthreads) * static_cast<std::size_t>(kStage) *
-                 static_cast<std::size_t>(a.dat->dim()));
-  }
-  return s;
-}
 template <class T, Access A>
 GblScratch<T> make_scratch(const GblArg<T, A>& a, int nthreads) {
   const Global<T>& g = *a.g;
@@ -460,39 +289,18 @@ GblScratch<T> make_scratch(const GblArg<T, A>& a, int nthreads) {
   }
   return s;
 }
-inline NoScratch make_scratch(const IdxArg&, int) { return {}; }
-template <class T>
-NoScratch make_scratch(const SpanReadArg<T>&, int) {
+/// Every other argument needs no per-thread scratch.
+template <class Arg>
+NoScratch make_scratch(const Arg&, int) {
   return {};
 }
-inline NoScratch make_scratch(const RowArg&, int) { return {}; }
 
 // --- binding ----------------------------------------------------------------
 
-[[nodiscard]] inline int block_shift(int block) {
-  int bshift = 0;
-  while ((1 << bshift) < block) ++bshift;
-  return bshift;
-}
-
 template <class T, Access A>
-BoundDat<T, A> bind(const DatArg<T, A>& a, DatScratch<T>& s, int tid) {
-  const Dat<T>& d = *a.dat;
-  return BoundDat<T, A>{
-      a.dat->data(),
-      a.map ? a.map->table().data() : nullptr,
-      a.map ? a.map->dim() : 0,
-      a.idx,
-      d.dim(),
-      d.layout(),
-      d.elem_stride(),
-      static_cast<std::size_t>(d.capacity()),
-      block_shift(d.block()),
-      static_cast<index_t>(d.block() - 1),
-      s.buf.empty() ? nullptr
-                    : s.buf.data() + static_cast<std::size_t>(tid) *
-                                         static_cast<std::size_t>(kStage) *
-                                         static_cast<std::size_t>(d.dim())};
+BoundDat<T, A> bind(const DatArg<T, A>& a, NoScratch&, int) {
+  return BoundDat<T, A>{a.dat->data(), a.map ? a.map->table().data() : nullptr,
+                        a.map ? a.map->dim() : 0, a.idx, a.dat->dim()};
 }
 template <class T, Access A>
 BoundGbl<T, A> bind(const GblArg<T, A>& a, GblScratch<T>& s, int tid) {
@@ -505,10 +313,7 @@ BoundGbl<T, A> bind(const GblArg<T, A>& a, GblScratch<T>& s, int tid) {
 inline BoundIdx bind(const IdxArg& a, NoScratch&, int) { return BoundIdx{a.l2g}; }
 template <class T>
 BoundSpan<T> bind(const SpanReadArg<T>& a, NoScratch&, int) {
-  const Dat<T>& d = *a.dat;
-  return BoundSpan<T>{DatSpan<T>{a.dat->data(), d.dim(), d.layout(),
-                                 static_cast<std::size_t>(d.capacity()),
-                                 block_shift(d.block()), static_cast<index_t>(d.block() - 1)}};
+  return BoundSpan<T>{DatSpan<T>{a.dat->data(), a.dat->dim()}};
 }
 inline BoundRow bind(const RowArg& a, NoScratch&, int) {
   return BoundRow{a.map->table().data(), a.map->dim()};
@@ -530,49 +335,20 @@ struct NoHook {
   void operator()(index_t) const {}
 };
 
-/// The scalar element executor behind par_loop's colored and flat phases,
-/// its deterministic-capture phase and every fused LoopChain tile. Runs
-/// `kernel` once per element of `src`, in source order, with the arguments
-/// bound to worker `tid`'s scratch slices:
-///  - no argument staged (every dat unit-stride): a plain loop on storage
-///    pointers;
-///  - staged and `chunk_ok`: gather kStage elements into scratch lanes, run
-///    their kernels, scatter the written lanes back. Only valid when no two
-///    elements of a chunk write the same staged indirect target;
-///  - otherwise per-element gather (pre) and scatter (post).
-/// `hook(e)` runs after element e's kernel (the deterministic-reduction
-/// delta capture).
+/// The element executor behind par_loop's colored and flat phases, its
+/// deterministic-capture phase and every fused LoopChain tile. Runs
+/// `kernel` once per element of `src`, in source order, with reduction
+/// arguments bound to worker `tid`'s scratch slice. `hook(e)` runs after
+/// element e's kernel (the deterministic-reduction delta capture).
 template <class Kernel, class Args, class Scratch, class Src, class Hook = NoHook>
 void run_elements(Kernel& kernel, const Args& args, Scratch& scratch, int tid, Src src,
-                  bool chunk_ok, Hook&& hook = {}) {
+                  Hook&& hook = {}) {
   [&]<std::size_t... I>(std::index_sequence<I...>) {
     auto bound = std::make_tuple(bind(std::get<I>(args), std::get<I>(scratch), tid)...);
     const std::size_t n = src.size();
-    if (!(is_staged(std::get<I>(bound)) || ...)) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const index_t e = src[i];
-        kernel(pre(std::get<I>(bound), e)...);
-        hook(e);
-      }
-      return;
-    }
-    if (chunk_ok) {
-      for (std::size_t p = 0; p < n; p += kStage) {
-        const int m = static_cast<int>(std::min<std::size_t>(kStage, n - p));
-        (stage_in(std::get<I>(bound), src, p, m), ...);
-        for (int k = 0; k < m; ++k) {
-          const index_t e = src[p + static_cast<std::size_t>(k)];
-          kernel(lane(std::get<I>(bound), e, k)...);
-          hook(e);
-        }
-        (stage_out(std::get<I>(bound), src, p, m), ...);
-      }
-      return;
-    }
     for (std::size_t i = 0; i < n; ++i) {
       const index_t e = src[i];
       kernel(pre(std::get<I>(bound), e)...);
-      (post(std::get<I>(bound), e), ...);
       hook(e);
     }
   }(std::make_index_sequence<std::tuple_size_v<Args>>{});
@@ -702,7 +478,6 @@ void par_loop(const char* name, const Set& set, Kernel&& kernel, As... as) {
     tspan.arg("colors",
               static_cast<double>(plan.core_colors.size() + plan.tail_colors.size()));
     tspan.arg("nthreads", static_cast<double>(ctx.config().nthreads));
-    tspan.arg("simd", plan.vectorizable ? 1.0 : 0.0);
   }
   auto pending = ctx.exchange_begin(plan, infos);
 
@@ -716,27 +491,15 @@ void par_loop(const char* name, const Set& set, Kernel&& kernel, As... as) {
   std::vector<double> initial;
   std::apply([&](auto&... a) { (detail::snapshot_global(a, initial), ...); }, args);
 
-  // Chunked staging gathers a block of elements before running their
-  // kernels, which would lose updates if two elements of the same chunk
-  // write the same indirect target. Colored spans guarantee disjoint
-  // targets; otherwise fall back to per-element gather/scatter when a
-  // staged indirect-written argument exists.
-  bool staged_indirect_write = false;
   bool has_reduction = false;
   for (const auto& a : infos) {
-    if (a.dat && a.map && access_writes(a.acc) && !a.dat->unit_stride()) {
-      staged_indirect_write = true;
-    }
     if (a.is_global && a.acc != Access::Read) has_reduction = true;
   }
   // Deterministic-reduction mode (Config::deterministic_reductions): a loop
   // carrying a reduction runs single-threaded over the flat ascending
   // element list, so the floating-point fold order matches the serial
-  // reference executor exactly. The colored-span disjointness guarantee
-  // does not hold for the flat list, so chunked staging must re-check the
-  // aliasing guard as if uncolored.
+  // reference executor exactly.
   const bool det_run = ctx.config().deterministic_reductions && has_reduction;
-  const bool chunk_ok = (plan.colored && !det_run) || !staged_indirect_write;
   // Distributed deterministic reductions: capture per-element Inc deltas
   // keyed by global id so finalize can fold them in ascending-gid order —
   // bit-identical to the serial fold regardless of rank count (see the
@@ -760,51 +523,26 @@ void par_loop(const char* name, const Set& set, Kernel&& kernel, As... as) {
     }(idx_seq);
   };
 
-  // Vectorized path: iterate the contiguous index range directly — no
-  // index list, no gathers, unit/constant strides per argument.
-  auto run_range = [&]<std::size_t... I>(index_t lo, index_t hi, int tid,
-                                         std::index_sequence<I...>) {
-    auto bound = std::make_tuple(
-        detail::bind(std::get<I>(args), std::get<I>(scratch), tid)...);
-    VCGT_SIMD
-    for (index_t e = lo; e < hi; ++e) {
-      kernel(detail::vptr(std::get<I>(bound), e)...);
-    }
-  };
-
   // One index list through the element executor, split across workers.
   auto run_list = [&](const std::vector<index_t>& elems) {
     if (nthreads <= 1) {
-      detail::run_elements(kernel, args, scratch, 0, std::span<const index_t>(elems), chunk_ok);
+      detail::run_elements(kernel, args, scratch, 0, std::span<const index_t>(elems));
       return;
     }
     ctx.pool().parallel_for(elems.size(), [&](int tid, std::size_t b, std::size_t e) {
       detail::run_elements(kernel, args, scratch, tid,
-                           std::span<const index_t>(elems.data() + b, e - b), chunk_ok);
+                           std::span<const index_t>(elems.data() + b, e - b));
     });
   };
 
   auto run_phase = [&](const std::vector<index_t>& flat,
-                       const std::vector<std::vector<index_t>>& colors, bool contig) {
+                       const std::vector<std::vector<index_t>>& colors) {
     if (det_capture) {
-      detail::run_elements(kernel, args, scratch, 0, std::span<const index_t>(flat), chunk_ok,
-                           capture);
+      detail::run_elements(kernel, args, scratch, 0, std::span<const index_t>(flat), capture);
       return;
     }
     if (det_run) {
-      detail::run_elements(kernel, args, scratch, 0, std::span<const index_t>(flat), chunk_ok);
-      return;
-    }
-    if (plan.vectorizable && contig && !flat.empty()) {
-      const index_t lo = flat.front();
-      if (nthreads <= 1) {
-        run_range(lo, lo + static_cast<index_t>(flat.size()), 0, idx_seq);
-      } else {
-        ctx.pool().parallel_for(flat.size(), [&](int tid, std::size_t b, std::size_t e) {
-          run_range(lo + static_cast<index_t>(b), lo + static_cast<index_t>(e), tid,
-                    idx_seq);
-        });
-      }
+      detail::run_elements(kernel, args, scratch, 0, std::span<const index_t>(flat));
       return;
     }
     if (!plan.colored) {
@@ -814,9 +552,9 @@ void par_loop(const char* name, const Set& set, Kernel&& kernel, As... as) {
     for (const auto& color : colors) run_list(color);
   };
 
-  run_phase(plan.core, plan.core_colors, plan.core_contig);
+  run_phase(plan.core, plan.core_colors);
   ctx.exchange_end(plan, pending);
-  run_phase(plan.tail, plan.tail_colors, plan.tail_contig);
+  run_phase(plan.tail, plan.tail_colors);
 
   std::size_t cursor = 0;
   detail::DeltaRecords records{delta_gids, delta_vals, inc_gbl_dims};
@@ -877,14 +615,11 @@ class LoopChain {
         args);
 
     Member mem;
-    // Fused-tile executor: one contiguous ascending element range, staged
-    // arguments per element (safe for staged indirect writes; a tile is
-    // too short-lived to amortize chunked staging anyway). Concurrent calls
-    // use distinct tids, and scratch blocks are per-tid slices, so
-    // same-color tiles may run in parallel.
+    // Fused-tile executor: one contiguous ascending element range.
+    // Concurrent calls use distinct tids, so same-color tiles may run in
+    // parallel.
     mem.run_tile = [kernel, args, scratch](index_t lo, index_t hi, int tid) mutable {
-      detail::run_elements(kernel, args, scratch, tid, detail::IndexRange{lo, hi},
-                           /*chunk_ok=*/false);
+      detail::run_elements(kernel, args, scratch, tid, detail::IndexRange{lo, hi});
     };
     // Standalone fallback: the member runs as a full par_loop (its own
     // halo exchange, coloring, reduction merge/finalize machinery).

@@ -69,19 +69,6 @@ struct LoopPlan {
   // loop's maps and can run while messages are in flight; `tail` must wait.
   std::vector<index_t> core;
   std::vector<index_t> tail;
-  /// The element lists are ascending; when a phase is a contiguous index
-  /// range the executor can iterate the range directly (enables the
-  /// vectorized path). Direct loops are always contiguous.
-  bool core_contig = false;
-  bool tail_contig = false;
-
-  /// Layout-vectorizable: every dat argument is direct and unit-stride, at
-  /// least one dat uses a non-AoS layout, globals are read-only and no
-  /// arg_idx is present. Cached against the context's layout epoch and
-  /// recomputed when any dat's layout changes.
-  bool vectorizable = false;
-  std::uint64_t layout_epoch = 0;
-
   // Shared-memory coloring (built when the context executes with threads or
   // force_coloring): elements grouped by conflict-free color, core and tail
   // colored independently since they never run concurrently.
@@ -211,21 +198,21 @@ struct ChainPlan {
 /// Structural fingerprint of a plan on this rank: iteration size, redundant
 /// exec-halo flag, core/tail element lists, color shapes and the full halo
 /// communication schedule (neighbors, send indices, receive slots). Two
-/// equivalent executions — e.g. the same mesh partitioned under different
-/// dat layouts — must produce equal fingerprints on every rank; a
+/// equivalent executions — e.g. the same mesh run with and without
+/// transport chaos — must produce equal fingerprints on every rank; a
 /// divergence localizes a planning bug (wrong partition, wrong halo list)
 /// structurally, before any floating-point value is compared
-/// (vcgt::verify). Excludes everything value- or cache-like: metering,
-/// the layout-epoch/vectorizable cache and send high-water marks.
+/// (vcgt::verify). Excludes everything value- or cache-like: metering and
+/// send high-water marks.
 [[nodiscard]] std::uint64_t plan_fingerprint(const LoopPlan& plan);
 
 /// Chained-plan overload: folds member structure (set, iteration sizes,
 /// exec flags, access descriptors by dat/map id), the dependence edges,
 /// segment boundaries, tile frontiers, tile colors and the fused-epoch
-/// needs. Pointer-free and layout-independent: equivalent executions under
-/// different dat layouts produce equal fingerprints on every rank, which
-/// is what makes chained plans cacheable and lets vcgt::verify compare
-/// chained runs structurally across layout variants.
+/// needs. Pointer-free: equivalent executions in different contexts
+/// produce equal fingerprints on every rank, which is what makes chained
+/// plans cacheable and lets vcgt::verify compare chained runs structurally
+/// across variants.
 [[nodiscard]] std::uint64_t plan_fingerprint(const ChainPlan& plan);
 
 }  // namespace vcgt::op2

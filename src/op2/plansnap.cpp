@@ -21,9 +21,7 @@
 //  - send high-water marks (PlanSetComm::send_watermark) and partial-halo
 //    cleanliness (clean_epoch) are never snapshotted: marks re-grow on
 //    first exchange (metered as warm-up), cleanliness falls back to the
-//    dat-level epoch exactly like a freshly built plan;
-//  - the vectorizable predicate is invalidated (layout_epoch = 0) so the
-//    first invocation re-evaluates it against this context's dat layouts.
+//    dat-level epoch exactly like a freshly built plan.
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -68,8 +66,6 @@ struct LoopSnap {
   index_t n_executed = 0;
   std::vector<index_t> core;
   std::vector<index_t> tail;
-  bool core_contig = false;
-  bool tail_contig = false;
   bool colored = false;
   std::vector<std::vector<index_t>> core_colors;
   std::vector<std::vector<index_t>> tail_colors;
@@ -194,8 +190,6 @@ LoopSnap snap_loop(const LoopPlan& p) {
   s.n_executed = p.n_executed;
   s.core = p.core;
   s.tail = p.tail;
-  s.core_contig = p.core_contig;
-  s.tail_contig = p.tail_contig;
   s.colored = p.colored;
   s.core_colors = p.core_colors;
   s.tail_colors = p.tail_colors;
@@ -334,16 +328,10 @@ std::unique_ptr<LoopPlan> make_loop(const LoopSnap& s, const Registry& reg) {
   p->n_executed = s.n_executed;
   p->core = s.core;
   p->tail = s.tail;
-  p->core_contig = s.core_contig;
-  p->tail_contig = s.tail_contig;
   p->colored = s.colored;
   p->core_colors = s.core_colors;
   p->tail_colors = s.tail_colors;
   for (const auto& c : s.comms) p->comms.push_back(make_comm(c, reg));
-  // layout_epoch = 0 forces the vectorizable predicate to re-evaluate
-  // against this context's layouts on first use (epochs start at 1).
-  p->layout_epoch = 0;
-  p->vectorizable = false;
   if (plan_fingerprint(*p) != s.fingerprint) {
     throw std::runtime_error(vcgt::util::fmt(
         "op2: plan cache snapshot for loop '{}' failed fingerprint revalidation", s.name));

@@ -139,8 +139,8 @@ void Context::renumber_set(Set& s, std::span<const index_t> perm) {
     }
   }
 
-  // Permute dats on the set (layout-agnostic: gather every element's
-  // payload in old order, scatter to the permuted positions).
+  // Permute dats on the set (gather every element's payload in old order,
+  // scatter to the permuted positions).
   std::vector<index_t> iota(n);
   for (std::size_t e = 0; e < n; ++e) iota[e] = static_cast<index_t>(e);
   for (auto& dat : dats_) {

@@ -12,35 +12,6 @@ namespace vcgt::op2 {
 
 namespace {
 
-/// Layout-vectorizable predicate (DESIGN.md §8): the loop can iterate a
-/// contiguous index range with unit-stride pointer arithmetic per argument.
-/// Requires every dat argument direct and unit-stride, at least one dat in
-/// a non-AoS layout (AoS-only loops keep the reference executor so layout
-/// comparisons measure the engine, not the compiler), read-only globals
-/// (reductions stay on the deterministic scratch-merge path) and no
-/// arg_idx.
-bool layout_vectorizable(const std::vector<ArgInfo>& args) {
-  bool any_non_aos = false;
-  for (const auto& a : args) {
-    if (a.is_global) {
-      if (a.acc != Access::Read) return false;
-      continue;
-    }
-    if (!a.dat) return false;  // arg_idx
-    if (a.map) return false;
-    if (!a.dat->unit_stride()) return false;
-    if (a.dat->layout() != Layout::AoS) any_non_aos = true;
-  }
-  return any_non_aos;
-}
-
-/// The per-phase element lists are built ascending; a phase is range-
-/// iterable iff the list is a contiguous index interval.
-bool contiguous(const std::vector<index_t>& v) {
-  return v.empty() ||
-         static_cast<std::size_t>(v.back() - v.front()) + 1 == v.size();
-}
-
 /// FNV-1a accumulation helpers for plan_fingerprint.
 std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -90,8 +61,7 @@ std::uint64_t plan_fingerprint(const LoopPlan& plan) {
 std::uint64_t plan_fingerprint(const ChainPlan& plan) {
   // Pointer-free on purpose: dats and maps enter by declaration id so the
   // fingerprint is stable across processes and identical for equivalent
-  // runs under different dat layouts (tile frontiers, colors and epoch
-  // needs are all layout-independent by construction).
+  // runs in different contexts.
   std::uint64_t h = 0xcbf29ce484222325ull;
   auto fold_args = [&](const std::vector<ArgInfo>& args) {
     h = fnv1a(h, args.size());
@@ -151,25 +121,12 @@ Context::Context(minimpi::Comm comm, Config cfg)
     : comm_(std::move(comm)), cfg_(cfg),
       pool_(std::make_unique<util::ThreadPool>(cfg.nthreads)) {
   const util::EnvConfig env = util::env_config();
-  if (env.op2_layout) {
-    Layout l = cfg_.default_layout;
-    int w = cfg_.aosoa_block;
-    if (parse_layout(*env.op2_layout, &l, &w)) {
-      cfg_.default_layout = l;
-      cfg_.aosoa_block = w;
-    } else {
-      util::warn("op2: ignoring unrecognized VCGT_OP2_LAYOUT '{}'", *env.op2_layout);
-    }
-  }
   if (env.op2_chain_tile) {
     if (*env.op2_chain_tile > 0) {
       cfg_.chain_tile = *env.op2_chain_tile;
     } else {
       util::warn("op2: ignoring non-positive VCGT_OP2_CHAIN_TILE '{}'", *env.op2_chain_tile);
     }
-  }
-  if (cfg_.aosoa_block < 1 || (cfg_.aosoa_block & (cfg_.aosoa_block - 1)) != 0) {
-    throw std::invalid_argument("op2: Config::aosoa_block must be a power of two");
   }
   if (cfg_.chain_tile < 0) {
     throw std::invalid_argument("op2: Config::chain_tile must not be negative");
@@ -260,15 +217,6 @@ void Context::register_dat(std::unique_ptr<DatBase> dat) {
   dats_.push_back(std::move(dat));
 }
 
-void Context::set_layout(DatBase& d, Layout layout, int block) {
-  if (block == 0) block = cfg_.aosoa_block;
-  if (layout == Layout::AoSoA && (block < 1 || (block & (block - 1)) != 0)) {
-    throw std::invalid_argument("op2: AoSoA block width must be a power of two");
-  }
-  d.set_layout_storage(layout, block);
-  ++layout_epoch_;
-}
-
 void Context::partition(Partitioner p, const Dat<double>& coords) {
   partition(p, std::vector<const Dat<double>*>{&coords});
 }
@@ -325,10 +273,6 @@ LoopPlan& Context::get_plan(const std::string& name, const Set& set,
     if (plan.signature != detail::arg_signature(args) || plan.set != &set) {
       throw std::logic_error(
           vcgt::util::fmt("op2: loop name '{}' reused with different arguments", name));
-    }
-    if (plan.layout_epoch != layout_epoch_) {
-      plan.vectorizable = layout_vectorizable(args);
-      plan.layout_epoch = layout_epoch_;
     }
     return plan;
   }
@@ -408,11 +352,6 @@ LoopPlan& Context::get_plan(const std::string& name, const Set& set,
     detail::build_coloring(plan, args);
   }
 
-  plan.core_contig = contiguous(plan.core);
-  plan.tail_contig = contiguous(plan.tail);
-  plan.vectorizable = layout_vectorizable(args);
-  plan.layout_epoch = layout_epoch_;
-
   auto [it, inserted] = plans_.emplace(name, std::move(plan_ptr));
   (void)inserted;
   return *it->second;
@@ -471,9 +410,8 @@ std::string Context::describe_plans() const {
   std::string out;
   for (const auto& [name, plan] : plans_) {
     out += vcgt::util::fmt(
-        "loop '{}' over '{}': exec {} (core {}, tail {}){}{}{}", name, plan->set->name(),
+        "loop '{}' over '{}': exec {} (core {}, tail {}){}{}", name, plan->set->name(),
         plan->n_executed, plan->core.size(), plan->tail.size(),
-        plan->vectorizable ? ", simd" : "",
         plan->exec_halo_iterated ? ", redundant exec halo" : "",
         plan->colored
             ? vcgt::util::fmt(", colors {}+{}", plan->core_colors.size(),

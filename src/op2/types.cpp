@@ -1,7 +1,5 @@
 #include "src/op2/types.hpp"
 
-#include <cstdlib>
-
 namespace vcgt::op2 {
 
 const char* access_name(Access a) {
@@ -14,34 +12,6 @@ const char* access_name(Access a) {
     case Access::Max: return "MAX";
   }
   return "?";
-}
-
-const char* layout_name(Layout l) {
-  switch (l) {
-    case Layout::AoS: return "aos";
-    case Layout::SoA: return "soa";
-    case Layout::AoSoA: return "aosoa";
-  }
-  return "?";
-}
-
-bool parse_layout(const std::string& text, Layout* layout, int* block) {
-  if (text == "aos") {
-    *layout = Layout::AoS;
-    return true;
-  }
-  if (text == "soa") {
-    *layout = Layout::SoA;
-    return true;
-  }
-  if (text.rfind("aosoa", 0) != 0) return false;
-  *layout = Layout::AoSoA;
-  if (text.size() == 5) return true;
-  char* end = nullptr;
-  const long w = std::strtol(text.c_str() + 5, &end, 10);
-  if (end == nullptr || *end != '\0' || w < 1 || (w & (w - 1)) != 0) return false;
-  *block = static_cast<int>(w);
-  return true;
 }
 
 const char* partitioner_name(Partitioner p) {

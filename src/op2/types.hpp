@@ -90,35 +90,17 @@ enum class Access : std::uint8_t {
 
 const char* access_name(Access a);
 
-/// Storage layout of a Dat's components (DESIGN.md §8). Kernels never see
-/// the layout: the par_loop executor either hands out unit-stride pointers
-/// directly (AoS, or any layout when dim == 1) or stages elements through
-/// per-thread scratch blocks.
-enum class Layout : std::uint8_t {
-  AoS,    ///< off(e,c) = e*dim + c — the reference layout; I/O normal form
-  SoA,    ///< off(e,c) = c*cap + e — contiguous per-component columns
-  AoSoA,  ///< off(e,c) = (e/W)*(W*dim) + c*W + e%W — blocked, W = block width
-};
-
-const char* layout_name(Layout l);
-
-/// Parses "aos" | "soa" | "aosoa" | "aosoa<W>" (e.g. "aosoa8"). Returns
-/// false on unrecognized input; on success writes the layout and, for
-/// explicit aosoa<W>, the block width.
-bool parse_layout(const std::string& text, Layout* layout, int* block);
-
 /// Runtime configuration. The three optimization toggles correspond to the
 /// paper's §IV-A5 (Table III) ablation:
 ///  - partial_halos (PH): exchange only the halo elements a loop actually
 ///    references through its maps, not the full halo of each dirty dat;
 ///  - grouped_halos (GH): pack all dats' halo payloads for the same
-///    neighbor rank into one message per neighbor;
-///  - staged_gather (GG): coupler-side single-buffer gather before handing
-///    interface data to JM76 (consumed by vcgt::jm76).
+///    neighbor rank into one message per neighbor.
+/// The third, staged gather (GG), is a coupler setting:
+/// jm76::CoupledConfig::staged_gather.
 struct Config {
   bool partial_halos = false;
   bool grouped_halos = false;
-  bool staged_gather = false;
   /// Shared-memory workers per rank for colored execution (1 = sequential
   /// within a rank; distributed parallelism is independent of this).
   int nthreads = 1;
@@ -128,19 +110,13 @@ struct Config {
   /// Enable communication/computation overlap (latency hiding): execute
   /// halo-independent "core" elements while halo messages are in flight.
   bool latency_hiding = true;
-  /// Storage layout for dats declared without an explicit per-dat override
-  /// (also settable via the VCGT_OP2_LAYOUT environment variable:
-  /// "aos" | "soa" | "aosoa" | "aosoa<W>").
-  Layout default_layout = Layout::AoS;
-  /// Block width W for AoSoA dats (must be a power of two).
-  int aosoa_block = 8;
   /// Execute loops carrying a global reduction single-threaded over the
   /// flat ascending element list: no coloring reorder, no per-thread
-  /// partials, no SIMD path. On a single rank the floating-point reduction
-  /// order then exactly matches the serial reference executor, making
-  /// reduction results bit-comparable across shared-memory backends
-  /// (vcgt::verify's oracle policy; see DESIGN.md §9). Loops without a
-  /// reduction are unaffected.
+  /// partials. On a single rank the floating-point reduction order then
+  /// exactly matches the serial reference executor, making reduction
+  /// results bit-comparable across shared-memory backends (vcgt::verify's
+  /// oracle policy; see DESIGN.md §9). Loops without a reduction are
+  /// unaffected.
   bool deterministic_reductions = false;
   /// Tile width (seed-member elements per cross-loop tile) for fused
   /// LoopChain execution. Also settable via VCGT_OP2_CHAIN_TILE (> 0).

@@ -11,7 +11,7 @@ namespace {
 
 // Wire format version for the spec blob itself (the frame protocol carries
 // its own version; this one guards the spec encoding inside a frame).
-constexpr std::uint16_t kSpecVersion = 6;  // v6: FlowConfig lost the chained-RK toggle
+constexpr std::uint16_t kSpecVersion = 7;  // v7: op2::Config lost the layout and staged-gather bytes
 
 void put_flow(util::ByteWriter& w, const hydra::FlowConfig& f) {
   w.put_f64(f.gamma);
@@ -100,12 +100,9 @@ hydra::FlowConfig get_flow(util::ByteReader& r) {
 void put_op2(util::ByteWriter& w, const op2::Config& c) {
   w.put_bool(c.partial_halos);
   w.put_bool(c.grouped_halos);
-  w.put_bool(c.staged_gather);
   w.put_i32(c.nthreads);
   w.put_bool(c.force_coloring);
   w.put_bool(c.latency_hiding);
-  w.put_u8(static_cast<std::uint8_t>(c.default_layout));
-  w.put_i32(c.aosoa_block);
   w.put_bool(c.deterministic_reductions);
   w.put_i32(c.chain_tile);
 }
@@ -114,12 +111,9 @@ op2::Config get_op2(util::ByteReader& r) {
   op2::Config c;
   c.partial_halos = r.get_bool();
   c.grouped_halos = r.get_bool();
-  c.staged_gather = r.get_bool();
   c.nthreads = r.get_i32();
   c.force_coloring = r.get_bool();
   c.latency_hiding = r.get_bool();
-  c.default_layout = static_cast<op2::Layout>(r.get_u8());
-  c.aosoa_block = r.get_i32();
   c.deterministic_reductions = r.get_bool();
   c.chain_tile = r.get_i32();
   return c;

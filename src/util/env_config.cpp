@@ -69,7 +69,6 @@ std::string show(const char* name, const std::optional<T>& v) {
 EnvConfig env_config() {
   EnvConfig cfg;
   parse_string(cfg, "VCGT_LOG", &cfg.log_level);
-  parse_string(cfg, "VCGT_OP2_LAYOUT", &cfg.op2_layout);
   parse_int(cfg, "VCGT_OP2_CHAIN_TILE", &cfg.op2_chain_tile);
   parse_double(cfg, "VCGT_RECV_TIMEOUT", &cfg.recv_timeout);
   parse_int(cfg, "VCGT_RECV_RETRIES", &cfg.recv_retries);
@@ -86,7 +85,6 @@ EnvConfig env_config() {
 std::string EnvConfig::describe() const {
   std::string out = "VCGT_* environment configuration:\n";
   out += show("VCGT_LOG", log_level);
-  out += show("VCGT_OP2_LAYOUT", op2_layout);
   out += show("VCGT_OP2_CHAIN_TILE", op2_chain_tile);
   out += show("VCGT_RECV_TIMEOUT", recv_timeout);
   out += show("VCGT_RECV_RETRIES", recv_retries);
@@ -97,11 +95,6 @@ std::string EnvConfig::describe() const {
   out += show("VCGT_FAULT_P_REORDER", fault_p_reorder);
   out += show("VCGT_FAULT_P_DROP", fault_p_drop);
   out += show("VCGT_FAULT_KILL", fault_kill);
-#ifdef VCGT_SIMD_OMP
-  out += pad("VCGT_SIMD") + "ON (compile-time)\n";
-#else
-  out += pad("VCGT_SIMD") + "OFF (compile-time)\n";
-#endif
   for (const auto& w : warnings) out += "  warning: " + w + "\n";
   return out;
 }

@@ -23,8 +23,7 @@ struct EnvConfig {
   std::optional<std::string> log_level;  ///< VCGT_LOG: debug|info|warn|error|off
 
   // --- op2 ----------------------------------------------------------------
-  std::optional<std::string> op2_layout;  ///< VCGT_OP2_LAYOUT: aos|soa|aosoa[<W>]
-  std::optional<int> op2_chain_tile;      ///< VCGT_OP2_CHAIN_TILE (> 0)
+  std::optional<int> op2_chain_tile;  ///< VCGT_OP2_CHAIN_TILE (> 0)
 
   // --- minimpi robustness ---------------------------------------------------
   std::optional<double> recv_timeout;   ///< VCGT_RECV_TIMEOUT [s]

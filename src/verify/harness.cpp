@@ -1,13 +1,14 @@
-// Differential-testing harness: the backend × layout × fault matrix, the
-// per-case check, the ddmin-style shrinker and the campaign driver.
+// Differential-testing harness: the backend × fault matrix, the per-case
+// check, the ddmin-style shrinker and the campaign driver.
 //
 // Matrix structure: runs are organized into *structural groups* sharing an
 // execution structure (rank count, threading, halo options, partitioner).
-// Each group's AoS/no-fault base is compared against the serial-AoS oracle
-// under the taint-aware tolerance policy; every other cell of the group
-// (layout variants, fault variants) must match its group base bit-for-bit
-// *and* produce identical plan fingerprints — layouts and fault plans are
-// never allowed to change either results or execution structure.
+// Each group's no-fault base is compared against the serial oracle under
+// the taint-aware tolerance policy; every other cell of the group (fault
+// variants, and the serial chained group's re-run) runs in a fresh context
+// and must match its group base bit-for-bit *and* produce identical plan
+// fingerprints — fault plans and allocation histories are never allowed to
+// change either results or execution structure.
 #include <algorithm>
 #include <fstream>
 
@@ -19,44 +20,34 @@ namespace vcgt::verify {
 
 namespace {
 
-ExecConfig cell(std::string name, int nranks, int nthreads, op2::Layout layout,
-                int block = 4) {
+ExecConfig cell(std::string name, int nranks, int nthreads, bool faults = false) {
   ExecConfig c;
   c.name = std::move(name);
   c.nranks = nranks;
   c.nthreads = nthreads;
-  c.layout = layout;
-  c.aosoa_block = block;
+  c.faults = faults;
   return c;
 }
 
 }  // namespace
 
 std::vector<MatrixGroup> default_matrix() {
-  using op2::Layout;
   std::vector<MatrixGroup> m;
 
-  {  // Serial reference executor; layout variants of the oracle itself.
+  {  // Serial reference executor (the oracle itself).
     MatrixGroup g;
-    g.base = cell("serial-aos", 1, 1, Layout::AoS);
-    g.variants = {cell("serial-soa", 1, 1, Layout::SoA),
-                  cell("serial-aosoa4", 1, 1, Layout::AoSoA, 4)};
+    g.base = cell("serial-aos", 1, 1);
     m.push_back(std::move(g));
   }
   {  // Colored execution on one worker (validates coloring alone).
     MatrixGroup g;
-    g.base = cell("colored-aos", 1, 1, Layout::AoS);
+    g.base = cell("colored-aos", 1, 1);
     g.base.force_coloring = true;
-    g.variants = {cell("colored-soa", 1, 1, Layout::SoA),
-                  cell("colored-aosoa8", 1, 1, Layout::AoSoA, 8)};
-    for (auto& v : g.variants) v.force_coloring = true;
     m.push_back(std::move(g));
   }
   {  // Shared-memory threading (deterministic-reduction mode).
     MatrixGroup g;
-    g.base = cell("threads2-aos", 1, 2, Layout::AoS);
-    g.variants = {cell("threads2-soa", 1, 2, Layout::SoA),
-                  cell("threads2-aosoa4", 1, 2, Layout::AoSoA, 4)};
+    g.base = cell("threads2-aos", 1, 2);
     m.push_back(std::move(g));
   }
   {  // Threading with the production per-thread reduction partials: sum
@@ -67,130 +58,106 @@ std::vector<MatrixGroup> default_matrix() {
     // verify.hpp): it covers the op2::Config production default (false),
     // which every other group turns on to earn the bit-exact sum policy.
     MatrixGroup g;
-    g.base = cell("threads2-nondet-aos", 1, 2, Layout::AoS);
+    g.base = cell("threads2-nondet-aos", 1, 2);
     g.base.deterministic_reductions = false;
     m.push_back(std::move(g));
   }
   {  // Distributed, RCB, full halos, latency hiding.
     MatrixGroup g;
-    g.base = cell("dist2-aos", 2, 1, Layout::AoS);
-    g.variants = {cell("dist2-soa", 2, 1, Layout::SoA),
-                  cell("dist2-aosoa4", 2, 1, Layout::AoSoA, 4),
-                  cell("dist2-aos-chaos", 2, 1, Layout::AoS),
-                  cell("dist2-soa-chaos", 2, 1, Layout::SoA)};
-    g.variants[2].faults = true;
-    g.variants[3].faults = true;
+    g.base = cell("dist2-aos", 2, 1);
+    g.variants = {cell("dist2-aos-chaos", 2, 1, /*faults=*/true)};
     m.push_back(std::move(g));
   }
   {  // Distributed without latency hiding (no core/tail overlap).
     MatrixGroup g;
-    g.base = cell("dist2-nolh-aos", 2, 1, Layout::AoS);
+    g.base = cell("dist2-nolh-aos", 2, 1);
     g.base.latency_hiding = false;
-    g.variants = {cell("dist2-nolh-soa", 2, 1, Layout::SoA)};
-    g.variants[0].latency_hiding = false;
     m.push_back(std::move(g));
   }
   {  // Distributed with partial + grouped halos (the paper's PH/GH).
     MatrixGroup g;
-    g.base = cell("dist3-phgh-aos", 3, 1, Layout::AoS);
+    g.base = cell("dist3-phgh-aos", 3, 1);
     g.base.partial_halos = true;
     g.base.grouped_halos = true;
-    g.variants = {cell("dist3-phgh-soa", 3, 1, Layout::SoA),
-                  cell("dist3-phgh-aosoa8", 3, 1, Layout::AoSoA, 8),
-                  cell("dist3-phgh-aos-chaos", 3, 1, Layout::AoS),
-                  cell("dist3-phgh-aosoa8-chaos", 3, 1, Layout::AoSoA, 8)};
+    g.variants = {cell("dist3-phgh-aos-chaos", 3, 1, /*faults=*/true)};
     for (auto& v : g.variants) {
       v.partial_halos = true;
       v.grouped_halos = true;
     }
-    g.variants[2].faults = true;
-    g.variants[3].faults = true;
     m.push_back(std::move(g));
   }
   {  // Hybrid: ranks × threads with partial halos.
     MatrixGroup g;
-    g.base = cell("dist2-threads2-ph-aos", 2, 2, Layout::AoS);
+    g.base = cell("dist2-threads2-ph-aos", 2, 2);
     g.base.partial_halos = true;
-    g.variants = {cell("dist2-threads2-ph-soa", 2, 2, Layout::SoA)};
-    g.variants[0].partial_halos = true;
     m.push_back(std::move(g));
   }
   {  // Sharded setup (DESIGN.md §13): the same universe declared through
     // decl_set_sharded — per-rank block-owned rows plus a map-closure ghost
     // rind, shard-local map tables, sliced dats — and partitioned with
     // partition_sharded. The base must match the serial oracle under the
-    // standard policy; layout and fault variants must match the sharded
-    // base bit-for-bit with identical fingerprints.
+    // standard policy; the fault variant must match the sharded base
+    // bit-for-bit with identical fingerprints.
     MatrixGroup g;
-    g.base = cell("shard-dist2-aos", 2, 1, Layout::AoS);
+    g.base = cell("shard-dist2-aos", 2, 1);
     g.base.sharded = true;
     g.base.partitioner = op2::Partitioner::Block;
-    g.variants = {cell("shard-dist2-soa", 2, 1, Layout::SoA),
-                  cell("shard-dist2-aosoa4", 2, 1, Layout::AoSoA, 4),
-                  cell("shard-dist2-aos-chaos", 2, 1, Layout::AoS)};
+    g.variants = {cell("shard-dist2-aos-chaos", 2, 1, /*faults=*/true)};
     for (auto& v : g.variants) {
       v.sharded = true;
       v.partitioner = op2::Partitioner::Block;
     }
-    g.variants[2].faults = true;
     m.push_back(std::move(g));
   }
   {  // Sharded setup over 3 ranks with the PH/GH halo options.
     MatrixGroup g;
-    g.base = cell("shard-dist3-phgh-aos", 3, 1, Layout::AoS);
+    g.base = cell("shard-dist3-phgh-aos", 3, 1);
     g.base.sharded = true;
     g.base.partitioner = op2::Partitioner::Block;
     g.base.partial_halos = true;
     g.base.grouped_halos = true;
-    g.variants = {cell("shard-dist3-phgh-soa", 3, 1, Layout::SoA),
-                  cell("shard-dist3-phgh-aosoa8", 3, 1, Layout::AoSoA, 8)};
-    for (auto& v : g.variants) {
-      v.sharded = true;
-      v.partitioner = op2::Partitioner::Block;
-      v.partial_halos = true;
-      v.grouped_halos = true;
-    }
     m.push_back(std::move(g));
   }
   {  // K-way graph-growing partitioner (exercises ownership propagation).
     MatrixGroup g;
-    g.base = cell("dist2-kway-aos", 2, 1, Layout::AoS);
+    g.base = cell("dist2-kway-aos", 2, 1);
     g.base.partitioner = op2::Partitioner::Kway;
-    g.variants = {cell("dist2-kway-soa", 2, 1, Layout::SoA)};
-    g.variants[0].partitioner = op2::Partitioner::Kway;
     m.push_back(std::move(g));
   }
   // Chained execution (DESIGN.md §10): the same program re-expressed as
   // declared LoopChains of 2–4 consecutive loops. Each chained base runs
-  // under the oracle tolerance policy (untainted dats bit-exact); layout
-  // variants must match their chained base bit-for-bit with equal chain
-  // fingerprints (the chain plan is layout-invariant by construction).
-  {  // Serial chained, all layouts.
+  // under the oracle tolerance policy (untainted dats bit-exact). Each
+  // group's variant builds the same chains in a fresh context (a fresh
+  // World, and under faults for the distributed groups) and must match its
+  // base bit-for-bit with equal chain fingerprints — which requires the
+  // chain planner's dependence-edge emission order to be deterministic
+  // across contexts with different allocation histories (the dep list is
+  // folded into the fingerprint).
+  {  // Serial chained; the variant is a plain re-run in a fresh context.
     MatrixGroup g;
-    g.base = cell("chain-serial-aos", 1, 1, Layout::AoS);
+    g.base = cell("chain-serial-aos", 1, 1);
     g.base.chained = true;
-    g.variants = {cell("chain-serial-soa", 1, 1, Layout::SoA),
-                  cell("chain-serial-aosoa4", 1, 1, Layout::AoSoA, 4)};
+    g.variants = {cell("chain-serial-aos-rerun", 1, 1)};
     for (auto& v : g.variants) v.chained = true;
     m.push_back(std::move(g));
   }
   {  // Distributed chained: fused halo epochs across the chain.
     MatrixGroup g;
-    g.base = cell("chain-dist2-aos", 2, 1, Layout::AoS);
+    g.base = cell("chain-dist2-aos", 2, 1);
     g.base.chained = true;
-    g.variants = {cell("chain-dist2-soa", 2, 1, Layout::SoA)};
-    g.variants[0].chained = true;
+    g.variants = {cell("chain-dist2-aos-chaos", 2, 1, /*faults=*/true)};
+    for (auto& v : g.variants) v.chained = true;
     m.push_back(std::move(g));
   }
   {  // Distributed chained over 3 ranks with the PH/GH halo options (the
     // fused epoch ignores them — it always sends full lists — but the solo
     // leftover loops and standalone members run under them).
     MatrixGroup g;
-    g.base = cell("chain-dist3-phgh-aos", 3, 1, Layout::AoS);
+    g.base = cell("chain-dist3-phgh-aos", 3, 1);
     g.base.chained = true;
     g.base.partial_halos = true;
     g.base.grouped_halos = true;
-    g.variants = {cell("chain-dist3-phgh-soa", 3, 1, Layout::SoA)};
+    g.variants = {cell("chain-dist3-phgh-aos-chaos", 3, 1, /*faults=*/true)};
     for (auto& v : g.variants) {
       v.chained = true;
       v.partial_halos = true;
@@ -199,17 +166,13 @@ std::vector<MatrixGroup> default_matrix() {
     m.push_back(std::move(g));
   }
   {  // Chained on sharded setup: chain planning over a context built through
-    // decl_set_sharded/partition_sharded. The base replays under the oracle
-    // policy; the layout variant must match it bit-exactly with equal chain
-    // fingerprints — which requires the chain planner's dependence-edge
-    // emission order to be deterministic across contexts with different
-    // allocation histories (the dep list is folded into the fingerprint).
+    // decl_set_sharded/partition_sharded.
     MatrixGroup g;
-    g.base = cell("shard-chain-dist2-aos", 2, 1, Layout::AoS);
+    g.base = cell("shard-chain-dist2-aos", 2, 1);
     g.base.chained = true;
     g.base.sharded = true;
     g.base.partitioner = op2::Partitioner::Block;
-    g.variants = {cell("shard-chain-dist2-soa", 2, 1, Layout::SoA)};
+    g.variants = {cell("shard-chain-dist2-aos-chaos", 2, 1, /*faults=*/true)};
     for (auto& v : g.variants) {
       v.chained = true;
       v.sharded = true;
@@ -221,7 +184,7 @@ std::vector<MatrixGroup> default_matrix() {
     // Threaded tile interleaving reorders indirect-increment folds, so this
     // group is its own base (ULP policy vs oracle) like threads2-nondet.
     MatrixGroup g;
-    g.base = cell("chain-threads2-aos", 1, 2, Layout::AoS);
+    g.base = cell("chain-threads2-aos", 1, 2);
     g.base.chained = true;
     m.push_back(std::move(g));
   }

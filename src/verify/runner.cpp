@@ -32,8 +32,6 @@ op2::Config to_op2_config(const ExecConfig& cfg) {
   c.partial_halos = cfg.partial_halos;
   c.grouped_halos = cfg.grouped_halos;
   c.latency_hiding = cfg.latency_hiding;
-  c.default_layout = cfg.layout;
-  c.aosoa_block = cfg.aosoa_block;
   c.deterministic_reductions = cfg.deterministic_reductions;
   c.chain_tile = cfg.chain_tile;
   return c;
@@ -181,7 +179,7 @@ void emit_op(const Emit& emit, const LoopOp& op, const char* name, op2::Set& set
     }
     case OpKind::SpmvRow: {
       // The krylov SpMV access shape: whole-row column ids (op2::row) plus
-      // a gather-free layout-aware view of the target dat (op2::read_span),
+      // a gather-free view of the target dat (op2::read_span),
       // folding the row in fixed ascending slot order.
       const op2::Map& m = *maps[static_cast<std::size_t>(op.map)];
       auto& a = *dats[entry(op.set, op.a)];
@@ -381,8 +379,6 @@ void exec_program(op2::Context& ctx, const CaseSpec& spec, const MeshTables& tab
     return local;
   };
 
-  // Coordinates get the configured default layout too, so partitioning
-  // itself runs under every layout (the PR 3 RCB regression's shape).
   auto& coords = ctx.decl_dat<double>(*sets[0], 2, "coords",
                                       slice_rows(tables.coords, 2, 0));
 

@@ -10,8 +10,8 @@
 // maps); a ProgramGen composes a random loop program from a small algebra
 // of direct/indirect reads, writes, increments and global reductions, all
 // expressed through the production typed par_loop builders. Every case is
-// executed on the serial-AoS oracle and re-executed across the backend ×
-// layout × fault-plan matrix; results are compared under an explicit
+// executed on the serial oracle and re-executed across the backend ×
+// fault-plan matrix; results are compared under an explicit
 // per-access-mode tolerance policy (bit-exact by default, ULP-bounded only
 // where a floating-point fold order legitimately differs). On mismatch the
 // harness shrinks the case to a minimal failing spec and serializes it as
@@ -139,7 +139,7 @@ struct TaintInfo {
 
 // --- execution --------------------------------------------------------------
 
-/// One cell of the backend × layout × fault matrix.
+/// One cell of the backend × fault matrix.
 struct ExecConfig {
   std::string name;
   int nranks = 1;
@@ -148,8 +148,6 @@ struct ExecConfig {
   bool partial_halos = false;
   bool grouped_halos = false;
   bool latency_hiding = true;
-  op2::Layout layout = op2::Layout::AoS;
-  int aosoa_block = 4;
   op2::Partitioner partitioner = op2::Partitioner::Rcb;
   /// Single-threaded ascending-order reduction folds (Config field added for
   /// this subsystem): on one rank the fold order equals the oracle's.
@@ -170,8 +168,8 @@ struct ExecConfig {
   /// of 2–4 loops (length = 2 + seed % 3) become one chain each, a trailing
   /// leftover of fewer than 2 loops stays unchained. Same results as the
   /// unchained program under the same tolerance policy (bit-exact for
-  /// untainted dats); layout variants of a chained base must match it
-  /// bit-exactly with equal chain fingerprints.
+  /// untainted dats); variants of a chained base must match it bit-exactly
+  /// with equal chain fingerprints.
   bool chained = false;
   /// Declare the universe through the sharded-setup path (DESIGN.md §13):
   /// each rank declares only its block-owned rows plus a map-closure ghost
@@ -180,7 +178,7 @@ struct ExecConfig {
   /// of the other sets inherited through their first map target). The
   /// `partitioner` field is ignored — sharded ownership is always the
   /// monolithic Block formula. Results obey the same tolerance policy as
-  /// any distributed backend; layout variants of a sharded base must match
+  /// any distributed backend; fault variants of a sharded base must match
   /// it bit-exactly with equal fingerprints.
   bool sharded = false;
   /// op2::Config::chain_tile for chained runs (small, so the tiny fuzz
@@ -223,14 +221,14 @@ struct Mismatch {
 ///  - min/max reductions over untainted input: bit-exact;
 ///  - sum reductions: bit-exact on single-rank deterministic-reduction
 ///    backends with untainted input, else ULP-bounded (rank-grouped fold);
-///  - layout/fault variants vs. their own group base: bit-exact on
+///  - fault/re-run variants vs. their own group base: bit-exact on
 ///    everything, fingerprints equal (checked by check_case, not here).
 [[nodiscard]] std::optional<Mismatch> compare_to_oracle(
     const CaseSpec& spec, const TaintInfo& taint, const RunResult& oracle,
     const RunResult& run, const ExecConfig& cfg);
 
-/// Bit-exact comparison of two runs of the same structural group (layout or
-/// fault variants): all dats, all reductions, equal fingerprints.
+/// Bit-exact comparison of two runs of the same structural group (fault or
+/// re-run variants): all dats, all reductions, equal fingerprints.
 [[nodiscard]] std::optional<Mismatch> compare_exact(const RunResult& base,
                                                     const RunResult& run,
                                                     const ExecConfig& cfg);
@@ -238,10 +236,11 @@ struct Mismatch {
 // --- harness ----------------------------------------------------------------
 
 /// The default verification matrix: structural groups (serial, colored,
-/// threaded, distributed Block/RCB/Kway with PH/GH combinations), each with
-/// layout and fault variants.
+/// threaded, distributed Block/RCB/Kway with PH/GH combinations), the
+/// distributed ones with fault variants and the chained ones with a
+/// fresh-context variant.
 struct MatrixGroup {
-  ExecConfig base;                    ///< AoS, no faults; compared vs oracle
+  ExecConfig base;                    ///< no faults; compared vs oracle
   std::vector<ExecConfig> variants;   ///< compared bit-exactly vs base
 };
 [[nodiscard]] std::vector<MatrixGroup> default_matrix();

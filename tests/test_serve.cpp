@@ -44,8 +44,8 @@ TEST(SessionSpec, RoundTripPreservesEverything) {
   spec.res = {12, 5, 9};
   spec.flow.second_order = true;
   spec.flow.flux_scheme = hydra::FlowConfig::FluxScheme::Roe;
-  spec.op2cfg.default_layout = op2::Layout::SoA;
   spec.op2cfg.partial_halos = true;
+  spec.op2cfg.grouped_halos = true;
   spec.search = jm76::SearchKind::Bins;
   spec.sharded_setup = true;
   spec.inner = 7;
@@ -83,9 +83,9 @@ TEST(SessionSpec, SetupHashCoversStructuralFields) {
   auto flow = base;
   flow.flow.cfl = 0.5;
   EXPECT_NE(flow.setup_hash(), base.setup_hash());
-  auto layout = base;
-  layout.op2cfg.default_layout = op2::Layout::SoA;
-  EXPECT_NE(layout.setup_hash(), base.setup_hash());
+  auto halos = base;
+  halos.op2cfg.partial_halos = true;
+  EXPECT_NE(halos.setup_hash(), base.setup_hash());
   auto ranks = base;
   ranks.hs_ranks = {2};
   EXPECT_NE(ranks.setup_hash(), base.setup_hash());
@@ -102,15 +102,15 @@ TEST(SessionSpec, DeserializeRejectsGarbage) {
   EXPECT_THROW(serve::SessionSpec::deserialize(junk), std::runtime_error);
 }
 
-TEST(SessionSpec, DeserializeRejectsVersion5Blob) {
-  // Version 6 dropped a FlowConfig field; a version-5 blob must be refused,
-  // not decoded with every later field shifted.
+TEST(SessionSpec, DeserializeRejectsVersion6Blob) {
+  // Version 7 dropped three op2::Config fields; a version-6 blob must be
+  // refused, not decoded with every later field shifted.
   auto bytes = tiny_spec().serialize();
   util::ByteWriter w;
-  w.put_u16(5);
-  const auto v5 = w.take();
-  ASSERT_GE(bytes.size(), v5.size());
-  std::copy(v5.begin(), v5.end(), bytes.begin());
+  w.put_u16(6);
+  const auto v6 = w.take();
+  ASSERT_GE(bytes.size(), v6.size());
+  std::copy(v6.begin(), v6.end(), bytes.begin());
   EXPECT_THROW(serve::SessionSpec::deserialize(bytes), std::runtime_error);
 }
 
@@ -459,18 +459,15 @@ TEST(PlanCache, ColdSessionBuildsEachRowMeshOnce) {
   EXPECT_EQ(stats.hits, kRows * (kCallersPerMesh - 1));
 }
 
-// The satellite-4 identity matrix: a cache-fed build must be bit-identical
-// to the cold build, across serial/2-rank worlds and AoS/SoA layouts. The
-// monitors in the step frames (residual rms, mass flows, mean pressure,
-// power) are reductions over the full flow state — any divergence in an
-// imported partition, renumbering or plan shows up there.
-class PlanCacheIdentity
-    : public ::testing::TestWithParam<std::tuple<int, op2::Layout>> {};
+// The identity matrix: a cache-fed build must be bit-identical to the cold
+// build, in serial and 2-rank worlds. The monitors in the step frames
+// (residual rms, mass flows, mean pressure, power) are reductions over the
+// full flow state — any divergence in an imported partition, renumbering or
+// plan shows up there.
+class PlanCacheIdentity : public ::testing::TestWithParam<int> {};
 
 TEST_P(PlanCacheIdentity, CacheHitBitIdenticalToColdBuild) {
-  const auto [ranks, layout] = GetParam();
-  auto spec = tiny_spec(ranks);
-  spec.op2cfg.default_layout = layout;
+  auto spec = tiny_spec(GetParam());
 
   serve::Server server;
   const auto run = [&server](const serve::SessionSpec& s) {
@@ -520,11 +517,8 @@ TEST_P(PlanCacheIdentity, CacheHitBitIdenticalToColdBuild) {
 
 INSTANTIATE_TEST_SUITE_P(
     SerialAndDistributedTimesLayouts, PlanCacheIdentity,
-    ::testing::Combine(::testing::Values(1, 2),
-                       ::testing::Values(op2::Layout::AoS, op2::Layout::SoA)),
-    [](const auto& info) {
-      return std::string(std::get<0>(info.param) == 1 ? "serial" : "dist2") +
-             (std::get<1>(info.param) == op2::Layout::AoS ? "_AoS" : "_SoA");
+    ::testing::Values(1, 2), [](const auto& info) {
+      return std::string(info.param == 1 ? "serial_AoS" : "dist2_AoS");
     });
 
 // --- admission control ------------------------------------------------------

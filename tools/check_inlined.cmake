@@ -1,6 +1,6 @@
 # Inlining guard, no timing involved: fails when BINARY holds an
 # out-of-line copy of one of op2's per-element argument helpers
-# (tgt/pre/post/lane/vptr in src/op2/parloop.hpp, which forces them inline)
+# (tgt/pre in src/op2/parloop.hpp, which forces them inline)
 # or of DatSpan::elem. An out-of-line copy means a call per argument per
 # element, or per stencil column, on the hot path.
 #
@@ -22,7 +22,7 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${nm_tool} -C ${BINARY} failed (${rc}): ${err}")
 endif()
 string(REGEX MATCHALL
-       "(vcgt::op2::detail::(pre|post|tgt|lane|vptr)<|vcgt::op2::DatSpan<[^\n]*>::elem\\()[^\n]*"
+       "(vcgt::op2::detail::(pre|tgt)<|vcgt::op2::DatSpan<[^\n]*>::elem\\()[^\n]*"
        hits "${symbols}")
 list(LENGTH hits n)
 if(n GREATER 0)

@@ -1,7 +1,7 @@
 // vcgt_fuzz — the vcgt::verify campaign driver (DESIGN.md §9).
 //
 //   vcgt_fuzz --cases 200 --seed 1 [--out DIR] [--stop-on-first]
-//     Runs N seeded cases through the full backend × layout × fault matrix;
+//     Runs N seeded cases through the full backend × fault matrix;
 //     on mismatch, shrinks and writes a repro to DIR. Exit 1 on mismatch.
 //
 //   vcgt_fuzz --replay FILE.vcgt [FILE2.vcgt ...]
