@@ -64,8 +64,7 @@ struct FlowConfig {
   /// at large pseudo-CFL the step approaches an inexact Newton update that
   /// overshoots the true residual slope and the outer march diverges — and
   /// the edge tightens as the mesh resolves more of what the linearization
-  /// misses. O(5) is robust across the rig meshes (bench_krylov --icfl
-  /// sweeps the edge).
+  /// misses. O(5) is robust across the rig meshes.
   double implicit_cfl = 5.0;
   int implicit_max_iters = 100;   ///< Krylov iteration cap per inner step
   double implicit_rtol = 1e-4;    ///< Krylov relative residual tolerance

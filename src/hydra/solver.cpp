@@ -988,8 +988,6 @@ void RowSolver::implicit_iteration() {
                 op2::write(*dq_));
 
   krylov::SolveOptions opts;
-  opts.method = krylov::Method::CG;
-  opts.precond = krylov::Precond::Jacobi;
   opts.max_iters = cfg_.implicit_max_iters;
   opts.rtol = cfg_.implicit_rtol;
   ksolver_->solve(*dq_, *res_, opts);

@@ -1,6 +1,6 @@
 #pragma once
-// vcgt::krylov — distributed preconditioned Krylov solvers composed entirely
-// from typed op2 par_loops (DESIGN.md §11).
+// vcgt::krylov — a distributed Jacobi-preconditioned CG solver composed
+// entirely from typed op2 par_loops (DESIGN.md §11).
 //
 // The matrix is a fixed-width (ELL) stencil over an op2 set: a rows→rows Map
 // of width K holding each row's column ids (slot 0 is the diagonal by
@@ -11,22 +11,19 @@
 // (op2::read_span) — so the halo exchange, latency hiding and loop-chain
 // fusion machinery apply to the solve exactly as to any other loop.
 //
-// Solvers treat a dim-d right-hand side as d independent scalar systems
+// The solver treats a dim-d right-hand side as d independent scalar systems
 // sharing the stencil (hydra's 5 conservative state components): every dot
-// product reduces per component and the step scalars alpha/beta/omega are
-// per-component, so each component marches its own optimal CG/BiCGStab
-// trajectory while all d ride the same loops and the same single collective
-// per dot round (component-batched Global reductions).
+// product reduces per component and the step scalars alpha/beta are
+// per-component, so each component marches its own optimal CG trajectory
+// while all d ride the same loops and the same collective per dot round
+// (component-batched Global reductions).
 //
 // Reduction-determinism contract: with Config::deterministic_reductions on,
 // every dot product folds per-element products in ascending *global* id
 // order regardless of rank count or thread count (op2's delta-capture
-// finalize), so residual histories — and therefore iteration counts and the
-// converged answer — are bit-identical across serial, threaded and
-// distributed executions. Preconditioner caveat: None and Jacobi are
-// partition-invariant; BlockILU0 factorizes each rank's owned diagonal
-// block, so its *preconditioned direction* depends on the partition and only
-// serial/threaded runs of it are bit-comparable.
+// finalize), and the Jacobi preconditioner is pointwise, so residual
+// histories — and therefore iteration counts and the converged answer — are
+// bit-identical across serial, threaded and distributed executions.
 #include <functional>
 #include <memory>
 #include <span>
@@ -60,20 +57,14 @@ using StencilFill =
 StencilMatrix declare_stencil(op2::Context& ctx, op2::Set& rows, int width,
                               const std::string& name, const StencilFill& fill);
 
-enum class Method { CG, BiCGStab };
-enum class Precond { None, Jacobi, BlockILU0 };
-
+/// CG stops once the residual 2-norm is at most rtol times its initial value.
 struct SolveOptions {
-  Method method = Method::CG;
-  Precond precond = Precond::Jacobi;
   int max_iters = 500;
   double rtol = 1e-8;
-  double atol = 0.0;
 };
 
-/// How a solve ended. Breakdown: a step's denominator (CG's p·q,
-/// BiCGStab's r0·v or t·t) was exactly zero for a component whose step
-/// numerator was not, so that component cannot continue. It takes zero
+/// How a solve ended. Breakdown: a step's denominator p·q was exactly zero
+/// for a component whose z·r was not, so that component cannot continue. It takes zero
 /// steps from then on, the other components go on until their own
 /// residual meets the tolerance, and the solve reports Breakdown.
 enum class SolveStatus { Converged, MaxIters, Breakdown };
@@ -89,7 +80,7 @@ struct SolveStats {
   std::vector<double> history;
 };
 
-/// Krylov solver instance bound to one stencil matrix and one RHS dimension.
+/// CG + Jacobi solver instance bound to one stencil matrix and one RHS dimension.
 /// Construct *pre-partition* (declares dim-d work dats on the rows set);
 /// solve() runs post-partition and may be called repeatedly — coefficient
 /// changes are picked up because the preconditioner is rebuilt per solve.
@@ -112,14 +103,10 @@ class Solver {
   [[nodiscard]] int dim() const { return d_; }
 
  private:
-  void prepare(Precond p);
-  void apply_precond(Precond p, op2::Dat<double>& in, op2::Dat<double>& out,
-                     const char* loop);
+  void prepare();
+  void apply_precond(op2::Dat<double>& in, op2::Dat<double>& out, const char* loop);
   void dot_pair(const char* loop, op2::Dat<double>& u, op2::Dat<double>& v);
   void dot_single(const char* loop, op2::Dat<double>& u, op2::Dat<double>& v);
-  SolveStats run_cg(op2::Dat<double>& x, op2::Dat<double>& b, const SolveOptions& opts);
-  SolveStats run_bicgstab(op2::Dat<double>& x, op2::Dat<double>& b,
-                          const SolveOptions& opts);
 
   op2::Context& ctx_;
   StencilMatrix m_;
@@ -133,21 +120,15 @@ class Solver {
 
   // Work vectors (dim d on the rows set).
   op2::Dat<double>* r_;
-  op2::Dat<double>* z_;   ///< preconditioned residual / BiCGStab phat
+  op2::Dat<double>* z_;  ///< preconditioned residual
   op2::Dat<double>* p_;
-  op2::Dat<double>* q_;   ///< A p / BiCGStab v
-  op2::Dat<double>* r0_;  ///< BiCGStab shadow residual
-  op2::Dat<double>* s_;
-  op2::Dat<double>* t_;
-  op2::Dat<double>* sh_;  ///< BiCGStab shat
+  op2::Dat<double>* q_;  ///< A p
 
   // Reductions (Inc) and per-component step scalars (Read).
   op2::Global<double> dots2_;  ///< dim 2d: paired per-component dots
-  op2::Global<double> dots3_;  ///< dim 3d: BiCGStab's s·t, t·t and s·s
   op2::Global<double> dot1_;   ///< dim d
   op2::Global<double> alpha_;
   op2::Global<double> beta_;
-  op2::Global<double> omega_;
 
   // Jacobi: reciprocal diagonal (dim 1).
   op2::Dat<double>* invdiag_;
@@ -156,13 +137,6 @@ class Solver {
   /// declared on the first CG solve: one fused halo epoch covers the SpMV's
   /// read of p.
   std::unique_ptr<op2::LoopChain> cg_iter_;
-
-  // BlockILU0 factors of the rank-local owned diagonal block (CSR over the
-  // stencil pattern, halo columns dropped).
-  std::vector<std::size_t> ilu_ptr_;
-  std::vector<op2::index_t> ilu_col_;
-  std::vector<double> ilu_val_;
-  std::vector<std::size_t> ilu_diag_;
 };
 
 }  // namespace vcgt::krylov

@@ -207,37 +207,66 @@ TEST(ChainTiles, ThreadedColoredExecutionMatchesSerial) {
 
 // --- fingerprints ------------------------------------------------------------
 
-std::map<std::string, std::uint64_t> run_fp_chain() {
+/// Runs a two-member chain whose members share four dats, so the planner
+/// finds four dependence edges between the same pair of members. `decoys`
+/// keeps that many heap blocks alive between the dat declarations, which
+/// moves the dats to other addresses: the planner's pointer-keyed per-member
+/// use maps then iterate in another order, and only its declaration-order
+/// sort of the edges keeps the fingerprint the same.
+std::map<std::string, std::uint64_t> run_fp_chain(int decoys) {
   const auto mesh = test::make_grid(7, 6);
   op2::Config cfg;
   cfg.chain_tile = 8;
   op2::Context ctx(cfg);
+  std::vector<std::unique_ptr<char[]>> heap;
+  const auto shift = [&] {
+    for (int i = 0; i < decoys; ++i) {
+      heap.push_back(std::make_unique<char[]>(24 + 40 * static_cast<std::size_t>(i)));
+    }
+  };
   auto& nodes = ctx.decl_set("nodes", mesh.nnode);
   auto& edges = ctx.decl_set("edges", mesh.nedge);
   auto& e2n = ctx.decl_map("e2n", edges, nodes, 2, mesh.edge2node);
   auto& x = ctx.decl_dat<double>(nodes, 2, "x");
+  shift();
+  auto& u = ctx.decl_dat<double>(nodes, 1, "u");
+  shift();
+  auto& v = ctx.decl_dat<double>(nodes, 1, "v");
+  shift();
+  auto& w = ctx.decl_dat<double>(nodes, 1, "w");
+  shift();
   auto& f = ctx.decl_dat<double>(edges, 1, "f");
   op2::LoopChain chain(ctx, "fp_chain");
   chain.add("stamp", nodes,
-            [](double* v, const op2::gindex_t* gid) {
-              v[0] = static_cast<double>(*gid);
-              v[1] = 0.25 * static_cast<double>(*gid);
+            [](double* xv, double* uv, double* vv, double* wv, const op2::gindex_t* gid) {
+              xv[0] = static_cast<double>(*gid);
+              xv[1] = 0.25 * static_cast<double>(*gid);
+              *uv = 1.0 + xv[0];
+              *vv = 2.0 * xv[1];
+              *wv = xv[0] - xv[1];
             },
-            op2::write(x), op2::arg_idx());
+            op2::write(x), op2::write(u), op2::write(v), op2::write(w), op2::arg_idx());
   chain.add("flux", edges,
-            [](double* fv, const double* x0, const double* x1) { *fv = x1[0] - x0[1]; },
-            op2::write(f), op2::read(x, e2n, 0), op2::read(x, e2n, 1));
+            [](double* fv, const double* x0, const double* x1, const double* u1,
+               const double* v0, const double* w1) {
+              *fv = x1[0] - x0[1] + *u1 - *v0 + *w1;
+            },
+            op2::write(f), op2::read(x, e2n, 0), op2::read(x, e2n, 1),
+            op2::read(u, e2n, 1), op2::read(v, e2n, 0), op2::read(w, e2n, 1));
   chain.execute();
   return ctx.plan_fingerprints();
 }
 
-TEST(ChainFingerprint, StableAcrossLayoutsAndInvocations) {
-  const auto first = run_fp_chain();
+TEST(ChainFingerprint, StableAcrossAllocationsAndInvocations) {
+  const auto first = run_fp_chain(0);
   ASSERT_TRUE(first.count("chain:fp_chain"));
   // Chained-plan fingerprints are pointer-free: the identical declared
-  // structure in a fresh context (fresh allocations) hashes identically.
-  const auto again = run_fp_chain();
-  EXPECT_EQ(first, again);
+  // structure in a fresh context hashes identically, whether its dats land
+  // at the same addresses or at others.
+  EXPECT_EQ(first, run_fp_chain(0));
+  for (int decoys = 1; decoys <= 32; ++decoys) {
+    EXPECT_EQ(first, run_fp_chain(decoys)) << decoys << " decoy blocks per declaration";
+  }
 }
 
 TEST(ChainFingerprint, RedeclarationMismatchThrows) {
