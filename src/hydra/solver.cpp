@@ -157,6 +157,35 @@ void add_member(op2::LoopChain& chain, const std::string& name, const op2::Set& 
                 Kernel kernel, const Args& args) {
   std::apply([&](const auto&... a) { chain.add(name.c_str(), set, kernel, a...); }, args);
 }
+
+/// Interior-face wavespeed: each side's convective spectral radius λ into
+/// its cell's ws. When kImplicit, also the face's off-diagonal Jacobian
+/// coefficient −½·(½(λl+λr)), written straight into the two stencil slots
+/// the face owns (fslot: the slot in cell l's row, then in cell r's row).
+/// The coefficient is symmetric and λ reads the area only through |u·A|
+/// and |A|, so both rows get the bits an assembly per slot with that row's
+/// outward area would compute. The arguments are q×2, the face's area
+/// vector and ws×2, then (kImplicit) fslot and the coefficient dat×2.
+template <bool kImplicit>
+struct WsFace {
+  double gamma;
+  template <class... Implicit>
+  void operator()(const double* ql, const double* qr, const double* area, double* wl,
+                  double* wr, Implicit... implicit) const {
+    static_assert(sizeof...(Implicit) == (kImplicit ? 3 : 0));
+    const double amag = area_norm(area);
+    const double ll = face_wavespeed(ql, sound_speed(ql, gamma), area, amag);
+    const double lr = face_wavespeed(qr, sound_speed(qr, gamma), area, amag);
+    *wl += ll;
+    *wr += lr;
+    if constexpr (kImplicit) {
+      const auto [slot, al, ar] = std::make_tuple(implicit...);
+      const double off = -0.5 * (0.5 * (ll + lr));
+      al[slot[0]] = off;
+      ar[slot[1]] = off;
+    }
+  }
+};
 }  // namespace
 
 RowSolver::RowSolver(op2::Context& ctx, const rig::AnnulusMesh& mesh,
@@ -270,9 +299,43 @@ void RowSolver::declare(const rig::AnnulusMesh& mesh, const rig::RowShard* shard
   fnorm_ = &ctx_.decl_dat<double>(*faces_, 3, pfx_ + "fnorm", mesh.face_normal);
   fcent_ = &ctx_.decl_dat<double>(*faces_, 3, pfx_ + "fcent", mesh.face_center);
 
+  if (cfg_.implicit_dual_time) {
+    // Cell-neighbor stencil from the interior face graph: slot 0 the
+    // diagonal, slots 1.. the face neighbors in face order. Each face
+    // records its slot in both rows (fslot, declared before the faces may
+    // be renumbered below). Unused slots stay (self, −0.0) pads: the
+    // coefficient a zero-area face would get.
+    const auto nc = static_cast<std::size_t>(mesh.ncell);
+    std::vector<std::vector<index_t>> adj(nc);
+    std::vector<int> fslot(static_cast<std::size_t>(mesh.nface) * 2);
+    for (std::size_t e = 0; e < fslot.size(); e += 2) {
+      const index_t cl = mesh.face2cell[e];
+      const index_t cr = mesh.face2cell[e + 1];
+      auto& nl = adj[static_cast<std::size_t>(cl)];
+      auto& nr = adj[static_cast<std::size_t>(cr)];
+      fslot[e] = 1 + static_cast<int>(nl.size());
+      fslot[e + 1] = 1 + static_cast<int>(nr.size());
+      nl.push_back(cr);
+      nr.push_back(cl);
+    }
+    std::size_t deg = 0;
+    for (const auto& row : adj) deg = std::max(deg, row.size());
+    const int width = 1 + static_cast<int>(deg);
+
+    imat_ = krylov::declare_stencil(
+        ctx_, *cells_, width, pfx_ + "imat",
+        [&adj](index_t row, std::span<index_t> cols, std::span<double> a) {
+          const auto& nb = adj[static_cast<std::size_t>(row)];
+          for (std::size_t j = 0; j < nb.size(); ++j) cols[1 + j] = nb[j];
+          for (std::size_t k = 1 + nb.size(); k < a.size(); ++k) a[k] = -0.0;
+        });
+    fslot_ = &ctx_.decl_dat<int>(*faces_, 2, pfx_ + "fslot", std::move(fslot));
+    ksolver_ = std::make_unique<krylov::Solver>(ctx_, imat_, kNState, pfx_ + "ksolve");
+  }
+
   if (cfg_.sort_faces) {
-    // Interior faces carry only f2c/fnorm/fcent, all declared above, so the
-    // renumbering rewrites everything that references the set.
+    // Interior faces carry only f2c/fnorm/fcent (and fslot), all declared
+    // above, so the renumbering rewrites everything that references the set.
     const index_t nf = mesh.nface;
     std::vector<index_t> order(static_cast<std::size_t>(nf));
     std::iota(order.begin(), order.end(), index_t{0});
@@ -319,47 +382,6 @@ void RowSolver::declare(const rig::AnnulusMesh& mesh, const rig::RowShard* shard
       ghost_[g] = &ctx_.decl_dat<double>(set, kPayload,
                                          pfx_ + std::string(group_tag(group)) + "_ghost");
     }
-  }
-
-  if (cfg_.implicit_dual_time) {
-    // Cell-neighbor stencil from the interior face graph: slot 0 the
-    // diagonal, slots 1.. the face neighbors with their outward area
-    // vectors; unused slots stay (self, zero-vector) pads, which the
-    // spectral-radius assembly maps to a zero coefficient (zero-area
-    // wavespeed) so no pad branch is needed anywhere.
-    const auto nc = static_cast<std::size_t>(mesh.ncell);
-    std::vector<std::vector<std::pair<index_t, std::array<double, 3>>>> adj(nc);
-    for (index_t f = 0; f < mesh.nface; ++f) {
-      const auto fs = static_cast<std::size_t>(f);
-      const index_t cl = mesh.face2cell[fs * 2];
-      const index_t cr = mesh.face2cell[fs * 2 + 1];
-      const std::array<double, 3> a{mesh.face_normal[fs * 3], mesh.face_normal[fs * 3 + 1],
-                                    mesh.face_normal[fs * 3 + 2]};
-      adj[static_cast<std::size_t>(cl)].push_back({cr, a});
-      adj[static_cast<std::size_t>(cr)].push_back({cl, {-a[0], -a[1], -a[2]}});
-    }
-    std::size_t deg = 0;
-    for (const auto& row : adj) deg = std::max(deg, row.size());
-    const int width = 1 + static_cast<int>(deg);
-
-    imat_ = krylov::declare_stencil(
-        ctx_, *cells_, width, pfx_ + "imat",
-        [&adj](index_t row, std::span<index_t> cols, std::span<double>) {
-          const auto& nb = adj[static_cast<std::size_t>(row)];
-          for (std::size_t j = 0; j < nb.size(); ++j) cols[1 + j] = nb[j].first;
-        });
-
-    std::vector<double> fg(nc * static_cast<std::size_t>(3 * width), 0.0);
-    for (std::size_t c = 0; c < nc; ++c) {
-      for (std::size_t j = 0; j < adj[c].size(); ++j) {
-        for (std::size_t d = 0; d < 3; ++d) {
-          fg[c * static_cast<std::size_t>(3 * width) + (1 + j) * 3 + d] = adj[c][j].second[d];
-        }
-      }
-    }
-    fgeom_ = &ctx_.decl_dat<double>(*cells_, 3 * width, pfx_ + "fgeom", std::move(fg));
-    dq_ = &ctx_.decl_dat<double>(*cells_, kNState, pfx_ + "dq");
-    ksolver_ = std::make_unique<krylov::Solver>(ctx_, imat_, kNState, pfx_ + "ksolve");
   }
 }
 
@@ -869,15 +891,24 @@ void RowSolver::wavespeed_and_dt(double cfl, double dt_cap) {
   // dual-time stability (the BDF2 source is integrated explicitly).
   op2::par_loop((pfx_ + "zero_ws").c_str(), *cells_, [](double* w) { *w = 0.0; },
                 op2::write(*ws_));
-  op2::par_loop((pfx_ + "ws_face").c_str(), *faces_,
-                [gamma](const double* ql, const double* qr, const double* area, double* wl,
-                        double* wr) {
-                  *wl += face_wavespeed(ql, area, gamma);
-                  *wr += face_wavespeed(qr, area, gamma);
-                },
-                op2::read(*q_, *f2c_, 0), op2::read(*q_, *f2c_, 1),
-                op2::read(*fnorm_), op2::inc(*ws_, *f2c_, 0),
-                op2::inc(*ws_, *f2c_, 1));
+  {
+    const std::string name = pfx_ + "ws_face";
+    const auto core = std::make_tuple(op2::read(*q_, *f2c_, 0), op2::read(*q_, *f2c_, 1),
+                                      op2::read(*fnorm_), op2::inc(*ws_, *f2c_, 0),
+                                      op2::inc(*ws_, *f2c_, 1));
+    const auto run = [&](auto kernel, const auto& args) {
+      std::apply([&](const auto&... a) { op2::par_loop(name.c_str(), *faces_, kernel, a...); },
+                 args);
+    };
+    if (cfg_.implicit_dual_time) {
+      run(WsFace<true>{gamma},
+          std::tuple_cat(core, std::make_tuple(op2::read(*fslot_),
+                                               op2::write(*imat_.a, *f2c_, 0),
+                                               op2::write(*imat_.a, *f2c_, 1))));
+    } else {
+      run(WsFace<false>{gamma}, core);
+    }
+  }
   for (std::size_t g = 0; g < kGroups; ++g) {
     op2::par_loop((pfx_ + group_tag(static_cast<BoundaryGroup>(g)) + "_ws").c_str(),
                   *bsets_[g],
@@ -935,7 +966,6 @@ void RowSolver::inner_iteration() {
 
 void RowSolver::implicit_iteration() {
   trace::Span titer("hydra:implicit_iter");
-  const double gamma = cfg_.gamma;
   ++inner_count_;
 
   // Implicit march: no explicit stability bound, so the pseudo step comes
@@ -950,47 +980,21 @@ void RowSolver::implicit_iteration() {
 
   // Spectral-radius Jacobian on the cell stencil (first-order linearization
   // of the Rusanov flux): off-diagonal -1/2 lambda_f per face neighbor,
-  // diagonal V/dtau (+ 3V/(2 dt) BDF2 shift when unsteady) + 1/2 of the
-  // cell's total wavespeed (interior + boundary closure, already summed in
-  // ws_). SPD and strictly diagonally dominant, so CG applies. Pad slots
-  // carry a zero area vector -> zero wavespeed -> zero coefficient.
-  const int width = imat_.width();
+  // which ws_face wrote above, and the diagonal V/dtau (+ 3V/(2 dt) BDF2
+  // shift when unsteady) + 1/2 of the cell's total wavespeed (interior +
+  // boundary closure, already summed in ws_). SPD and strictly diagonally
+  // dominant, so CG applies.
   const double shift = cfg_.steady ? 0.0 : 1.5 / cfg_.dt_phys;
   op2::par_loop((pfx_ + "implicit_assemble").c_str(), *cells_,
-                [gamma, width, shift](const double* q, op2::DatSpan<double> qn,
-                                      const index_t* cols, const double* fg,
-                                      const double* vol, const double* dt,
-                                      const double* w, double* a) {
+                [shift](const double* vol, const double* dt, const double* w, double* a) {
                   a[0] = *vol / *dt + shift * *vol + 0.5 * *w;
-                  // face_wavespeed() of both sides per slot, with the
-                  // row's own sound speed and each slot's |A| taken once.
-                  const double c_own = sound_speed(q, gamma);
-                  for (int k = 1; k < width; ++k) {
-                    const double* area = fg + 3 * k;
-                    const double amag = area_norm(area);
-                    const auto qk = qn.elem(cols[k]);
-                    double qnb[kNState];
-                    for (int s = 0; s < kNState; ++s) qnb[s] = qk[s];
-                    const double lam =
-                        0.5 * (face_wavespeed(q, c_own, area, amag) +
-                               face_wavespeed(qnb, sound_speed(qnb, gamma), area, amag));
-                    a[k] = -0.5 * lam;
-                  }
                 },
-                op2::read(*q_), op2::read_span(*q_, *imat_.cols), op2::row(*imat_.cols),
-                op2::read(*fgeom_), op2::read(*vol_), op2::read(*dtl_), op2::read(*ws_),
-                op2::write(*imat_.a));
-
-  op2::par_loop((pfx_ + "zero_dq").c_str(), *cells_,
-                [](double* d) {
-                  for (int s = 0; s < kNState; ++s) d[s] = 0.0;
-                },
-                op2::write(*dq_));
+                op2::read(*vol_), op2::read(*dtl_), op2::read(*ws_), op2::rw(*imat_.a));
 
   krylov::SolveOptions opts;
   opts.max_iters = cfg_.implicit_max_iters;
   opts.rtol = cfg_.implicit_rtol;
-  ksolver_->solve(*dq_, *res_, opts);
+  ksolver_->solve(*res_, opts);
 
   // State update; SA stays on its explicit pseudo step (cfl/ws) — the
   // one-equation transport is not part of the linearized system.
@@ -1002,7 +1006,7 @@ void RowSolver::implicit_iteration() {
                   if (q[0] < 1e-3) q[0] = 1e-3;
                   *nut = std::max(0.0, *nut + sa_cfl / std::max(*w, 1e-12) * *sr);
                 },
-                op2::read(*dq_), op2::read(*ws_), op2::read(*nut_res_), op2::rw(*q_),
+                op2::read(ksolver_->x()), op2::read(*ws_), op2::read(*nut_res_), op2::rw(*q_),
                 op2::rw(*nut_));
 }
 

@@ -129,7 +129,9 @@ class RowSolver {
   /// Executes the step chain at the current physical time.
   void execute_step();
   /// Wavespeed accumulation + local pseudo step (shared by the explicit and
-  /// implicit paths; only the CFL and the dual-time cap differ).
+  /// implicit paths; only the CFL and the dual-time cap differ). On the
+  /// implicit path the interior-face loop also writes the Jacobian's
+  /// off-diagonal coefficients.
   void wavespeed_and_dt(double cfl, double dt_cap);
   /// Implicit inner iteration: assemble the spectral-radius Jacobian into
   /// the cell stencil and solve M·dq = res with vcgt::krylov CG.
@@ -192,12 +194,12 @@ class RowSolver {
   std::array<op2::Dat<double>*, 4> ghost_{};  ///< exterior payload per bface (6)
 
   // Implicit dual-time (FlowConfig::implicit_dual_time): cell stencil matrix
-  // + Krylov solver + per-slot outward face area vectors (3K, slot 0 zero)
-  // feeding the spectral-radius assembly.
+  // + Krylov solver (whose x() is the state update dq) + each interior
+  // face's two stencil slots, into which ws_face writes the face's
+  // off-diagonal coefficient.
   krylov::StencilMatrix imat_{};
   std::unique_ptr<krylov::Solver> ksolver_;
-  op2::Dat<double>* dq_ = nullptr;     ///< implicit state update (5)
-  op2::Dat<double>* fgeom_ = nullptr;  ///< stencil-slot area vectors (3K)
+  op2::Dat<int>* fslot_ = nullptr;  ///< slot in cell l's, cell r's stencil row (2)
 
  public:
   /// Checkpoint the solver state (q, qold, qold2, nut) as op2 binary dats

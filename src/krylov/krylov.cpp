@@ -1,4 +1,5 @@
-// vcgt::krylov implementation — Jacobi-preconditioned CG over op2 par_loops.
+// vcgt::krylov implementation — single-reduction Jacobi-preconditioned CG
+// over op2 par_loops.
 #include "src/krylov/krylov.hpp"
 
 #include <algorithm>
@@ -12,15 +13,20 @@ namespace vcgt::krylov {
 
 namespace {
 
-/// y = A x for D components in one pass over the stencil row: each
-/// column's x is resolved once (DatSpan::elem) and the D sums stay in
-/// registers. Each sum starts at 0.0 and adds a[j] * x[c] in slot order,
-/// the order of a component-by-component fold, so y is bit-identical to it.
-template <int D>
+/// out = A in for D components in one pass over the stencil row: each
+/// column is resolved once (DatSpan::elem) and the D sums stay in
+/// registers. Each sum starts at 0.0 and adds a[j] * in[c] in slot order,
+/// the order of a component-by-component fold, so the row is bit-identical
+/// to it. kDots is CG's iteration SpMV, w = A z: it also folds the dots
+/// g[c] += z·r, g[D+c] += w·z and g[2D+c] += r·r, the row's own z being
+/// the diagonal slot's column — one += per global component per row, the
+/// shape the deterministic reduction folds bit-exactly.
+template <int D, bool kDots>
 struct SpmvKernel {
   int k;
+  template <class... Dots>
   void operator()(const double* a, const op2::index_t* cols, op2::DatSpan<double> x,
-                  double* y) const {
+                  double* y, Dots... dots) const {
     double sum[D];
 #pragma GCC unroll 8
     for (int c = 0; c < D; ++c) sum[c] = 0.0;
@@ -32,19 +38,31 @@ struct SpmvKernel {
     }
 #pragma GCC unroll 8
     for (int c = 0; c < D; ++c) y[c] = sum[c];
+    if constexpr (kDots) {
+      const auto [r, g] = std::make_tuple(dots...);
+      const double* z = x.elem(cols[0]);
+#pragma GCC unroll 8
+      for (int c = 0; c < D; ++c) {
+        g[c] += z[c] * r[c];
+        g[D + c] += sum[c] * z[c];
+        g[2 * D + c] += r[c] * r[c];
+      }
+    }
   }
 };
 
+/// The plain SpMV, or (with `dots`) the iteration's, which also reads r.
 template <int D>
-void spmv_dim(const StencilMatrix& m, op2::LoopChain* chain, const char* loop,
-              op2::Dat<double>& in, op2::Dat<double>& out) {
-  const SpmvKernel<D> kernel{m.width()};
-  if (chain) {
-    chain->add(loop, *m.rows, kernel, op2::read(*m.a), op2::row(*m.cols),
-               op2::read_span(in, *m.cols), op2::write(out));
-  } else {
+void spmv_dim(const StencilMatrix& m, const char* loop, op2::Dat<double>& in,
+              op2::Dat<double>& out, op2::Dat<double>* r, op2::Global<double>* dots) {
+  const auto run = [&](auto kernel, auto... extra) {
     op2::par_loop(loop, *m.rows, kernel, op2::read(*m.a), op2::row(*m.cols),
-                  op2::read_span(in, *m.cols), op2::write(out));
+                  op2::read_span(in, *m.cols), op2::write(out), extra...);
+  };
+  if (dots) {
+    run(SpmvKernel<D, true>{m.width()}, op2::read(*r), op2::reduce_sum(*dots));
+  } else {
+    run(SpmvKernel<D, false>{m.width()});
   }
 }
 
@@ -60,20 +78,14 @@ auto spmv_for_dim(int dim) {
   return kSpmvByDim[static_cast<std::size_t>(dim - 1)];
 }
 
-double aggregate_norm(const double* rr, int d) {
+/// sqrt of the sum of rr over the components `skip` does not mark. With
+/// `broken` that is the norm the stopping test reads, so that a broken
+/// component, whose residual no longer moves, does not hold the others to
+/// max_iters.
+double norm(const double* rr, const std::vector<char>& skip) {
   double ss = 0.0;
-  for (int c = 0; c < d; ++c) ss += rr[c];
-  return std::sqrt(ss);
-}
-
-/// aggregate_norm() over the components no breakdown has stopped: the
-/// norm the stopping test reads, so that a broken component, whose
-/// residual no longer moves, does not hold the others to max_iters. With
-/// none broken it is aggregate_norm() itself.
-double live_norm(const double* rr, const std::vector<char>& broken) {
-  double ss = 0.0;
-  for (std::size_t c = 0; c < broken.size(); ++c) {
-    if (!broken[c]) ss += rr[c];
+  for (std::size_t c = 0; c < skip.size(); ++c) {
+    if (!skip[c]) ss += rr[c];
   }
   return std::sqrt(ss);
 }
@@ -119,153 +131,110 @@ Solver::Solver(op2::Context& ctx, StencilMatrix m, int dim, std::string name)
       spmv_(spmv_for_dim(dim)),
       name_(std::move(name)),
       pfx_(name_ + ":"),
-      dots2_(ctx.decl_global<double>(pfx_ + "dots2", 2 * dim)),
-      dot1_(ctx.decl_global<double>(pfx_ + "dot1", dim)),
+      spmv_dots_loop_(pfx_ + "spmv_dots"),
+      dots_(ctx.decl_global<double>(pfx_ + "dots", 3 * dim)),
       alpha_(ctx.decl_global<double>(pfx_ + "alpha", dim)),
       beta_(ctx.decl_global<double>(pfx_ + "beta", dim)) {
   op2::Set& rows = *m_.rows;
   auto decl = [&](const char* suffix) {
     return &ctx_.decl_dat<double>(rows, d_, pfx_ + suffix);
   };
+  x_ = decl("x");
   r_ = decl("r");
   z_ = decl("z");
+  w_ = decl("w");
   p_ = decl("p");
-  q_ = decl("q");
+  s_ = decl("s");
   invdiag_ = &ctx_.decl_dat<double>(rows, 1, pfx_ + "invdiag");
 }
 
-// --- building-block loops ----------------------------------------------------
-
 void Solver::spmv(const char* loop, op2::Dat<double>& in, op2::Dat<double>& out) {
-  spmv_(m_, nullptr, loop, in, out);
+  spmv_(m_, loop, in, out, nullptr, nullptr);
 }
 
-/// dots2_[c] = u·v per component, dots2_[d+c] = v·v per component — one
-/// loop, one collective. Each global component receives exactly one
-/// increment per element, which is what makes the deterministic distributed
-/// fold bit-identical to the serial one (see parloop.hpp's capture block).
-void Solver::dot_pair(const char* loop, op2::Dat<double>& u, op2::Dat<double>& v) {
-  const int d = d_;
-  dots2_.set(0.0);
-  op2::par_loop(loop, *m_.rows, [d](const double* uv, const double* vv, double* g) {
-    for (int c = 0; c < d; ++c) {
-      g[c] += uv[c] * vv[c];
-      g[d + c] += vv[c] * vv[c];
-    }
-  }, op2::read(u), op2::read(v), op2::reduce_sum(dots2_));
-}
+// --- single-reduction Jacobi-PCG ----------------------------------------------
+//
+// Chronopoulos–Gear: with z = D⁻¹r and w = A z, the iteration's three dots
+// γ = z·r, δ = w·z and r·r come from one SpMV loop, and the step scalars
+// follow from them by recurrence: β = γ/γ_old and α = γ/(δ − β·γ/α_old),
+// whose denominator equals the classic p·A·p. s = A p is carried by the
+// recurrence s = w + β s, so the update needs no second SpMV.
 
-void Solver::dot_single(const char* loop, op2::Dat<double>& u, op2::Dat<double>& v) {
-  const int d = d_;
-  dot1_.set(0.0);
-  op2::par_loop(loop, *m_.rows, [d](const double* uv, const double* vv, double* g) {
-    for (int c = 0; c < d; ++c) g[c] += uv[c] * vv[c];
-  }, op2::read(u), op2::read(v), op2::reduce_sum(dot1_));
-}
-
-// --- Jacobi preconditioner --------------------------------------------------
-
-/// invdiag = 1 / diag(A), rebuilt per solve so coefficient changes are
-/// picked up. A zero diagonal entry gets 1, which leaves that row's
-/// residual unscaled.
-void Solver::prepare() {
-  op2::par_loop((pfx_ + "jacobi_inv").c_str(), *m_.rows,
-                [](const double* a, double* inv) {
-                  inv[0] = a[0] != 0.0 ? 1.0 / a[0] : 1.0;
-                },
-                op2::read(*m_.a), op2::write(*invdiag_));
-}
-
-void Solver::apply_precond(op2::Dat<double>& in, op2::Dat<double>& out, const char* loop) {
-  const int d = d_;
-  op2::par_loop(loop, *m_.rows, [d](const double* inv, const double* rv, double* zv) {
-    for (int c = 0; c < d; ++c) zv[c] = inv[0] * rv[c];
-  }, op2::read(*invdiag_), op2::read(in), op2::write(out));
-}
-
-// --- CG ----------------------------------------------------------------------
-
-SolveStats Solver::solve(op2::Dat<double>& x, op2::Dat<double>& b,
-                         const SolveOptions& opts) {
-  prepare();
+SolveStats Solver::solve(op2::Dat<double>& b, const SolveOptions& opts) {
   const int d = d_;
   SolveStats st;
 
-  // r = b - A x (seed p with x so the one cached SpMV plan serves both the
-  // initial residual and the iteration).
-  op2::par_loop((pfx_ + "seed_p").c_str(), *m_.rows, [d](const double* xv, double* pv) {
-    for (int c = 0; c < d; ++c) pv[c] = xv[c];
-  }, op2::read(x), op2::write(*p_));
-  spmv((pfx_ + "spmv_p").c_str(), *p_, *q_);
-  op2::par_loop((pfx_ + "residual").c_str(), *m_.rows,
-                [d](const double* bv, const double* qv, double* rv) {
-                  for (int c = 0; c < d; ++c) rv[c] = bv[c] - qv[c];
+  // Zero start: x = 0 makes r = b, with no SpMV. The Jacobi inverse is
+  // rebuilt here, once per solve, so coefficient changes are picked up; a
+  // zero diagonal entry gets 1, which leaves that row's residual unscaled.
+  // p = s = 0, so the first update runs the same loop with beta = 0.
+  op2::par_loop((pfx_ + "start").c_str(), *m_.rows,
+                [d](const double* a, const double* bv, double* inv, double* xv, double* rv,
+                    double* zv, double* pv, double* sv) {
+                  inv[0] = a[0] != 0.0 ? 1.0 / a[0] : 1.0;
+                  for (int c = 0; c < d; ++c) {
+                    xv[c] = 0.0;
+                    rv[c] = bv[c];
+                    zv[c] = inv[0] * bv[c];
+                    pv[c] = 0.0;
+                    sv[c] = 0.0;
+                  }
                 },
-                op2::read(b), op2::read(*q_), op2::write(*r_));
-
-  apply_precond(*r_, *z_, (pfx_ + "precond_z").c_str());
-
-  // Zero p: the first direction update then runs the same xpay loop with
-  // beta = 0, keeping every iteration's loop sequence identical (one cached
-  // chain plan, uniform fold order).
-  op2::par_loop((pfx_ + "zero_p").c_str(), *m_.rows, [d](double* pv) {
-    for (int c = 0; c < d; ++c) pv[c] = 0.0;
-  }, op2::write(*p_));
-  beta_.set(0.0);
-
-  dot_pair((pfx_ + "dot_rz_rr").c_str(), *z_, *r_);  // g[c]=z·r, g[d+c]=r·r
-  std::vector<double> rz(dots2_.data(), dots2_.data() + d);
-  st.rnorm0 = aggregate_norm(dots2_.data() + d, d);
+                op2::read(*m_.a), op2::read(b), op2::write(*invdiag_), op2::write(*x_),
+                op2::write(*r_), op2::write(*z_), op2::write(*p_), op2::write(*s_));
+  dots_.set(0.0);
+  spmv_(m_, spmv_dots_loop_.c_str(), *z_, *w_, r_, &dots_);
+  const std::vector<char> all(static_cast<std::size_t>(d), 0);
+  st.rnorm0 = norm(dots_.data() + 2 * d, all);
   st.rnorm = st.rnorm0;
   st.history.push_back(st.rnorm0);
   const double tol = opts.rtol * st.rnorm0;
 
-  if (!cg_iter_) {
-    cg_iter_ = std::make_unique<op2::LoopChain>(ctx_, pfx_ + "iter");
-    cg_iter_->add((pfx_ + "xpay").c_str(), *m_.rows,
-                  [d](const double* zv, const double* bv, double* pv) {
-                    for (int c = 0; c < d; ++c) pv[c] = zv[c] + bv[c] * pv[c];
-                  },
-                  op2::read(*z_), op2::read(beta_), op2::rw(*p_));
-    spmv_(m_, cg_iter_.get(), (pfx_ + "spmv_p").c_str(), *p_, *q_);
+  if (!update_) {
+    update_ = std::make_unique<op2::LoopChain>(ctx_, pfx_ + "iter");
+    update_->add((pfx_ + "update").c_str(), *m_.rows,
+                 [d](const double* av, const double* bv, const double* inv, const double* wv,
+                     double* pv, double* sv, double* xv, double* rv, double* zv) {
+                   for (int c = 0; c < d; ++c) {
+                     pv[c] = zv[c] + bv[c] * pv[c];
+                     sv[c] = wv[c] + bv[c] * sv[c];
+                     xv[c] += av[c] * pv[c];
+                     rv[c] -= av[c] * sv[c];
+                     zv[c] = inv[0] * rv[c];
+                   }
+                 },
+                 op2::read(alpha_), op2::read(beta_), op2::read(*invdiag_), op2::read(*w_),
+                 op2::rw(*p_), op2::rw(*s_), op2::rw(*x_), op2::rw(*r_), op2::rw(*z_));
   }
-  // A broken component takes zero steps from then on; the others go on.
+  // Per component: the previous γ (0 before the first step, which makes
+  // β = 0) and α. A broken component takes zero steps from then on; the
+  // others go on.
+  std::vector<double> gamma_old(static_cast<std::size_t>(d), 0.0);
+  std::vector<double> alpha_old(static_cast<std::size_t>(d), 0.0);
   std::vector<char> broken(static_cast<std::size_t>(d), 0);
   double live = st.rnorm;
   for (int it = 0; it < opts.max_iters && live > tol; ++it) {
-    cg_iter_->execute();  // p = z + beta p ; q = A p
-
-    dot_single((pfx_ + "dot_pq").c_str(), *p_, *q_);
     for (int c = 0; c < d; ++c) {
-      // A component whose z·r is 0 has converged exactly: its zero step is
-      // right. A zero p·q under a non-zero z·r is a breakdown.
       const auto cc = static_cast<std::size_t>(c);
-      const double pq = dot1_.data()[c];
-      if (pq == 0.0 && rz[cc] != 0.0) broken[cc] = 1;
-      alpha_.data()[c] = (pq != 0.0 && !broken[cc]) ? rz[cc] / pq : 0.0;
+      const double gamma = dots_.data()[c];
+      const double delta = dots_.data()[d + c];
+      // β ≠ 0 implies γ_old ≠ 0 and so α_old ≠ 0.
+      const double beta = gamma_old[cc] != 0.0 && !broken[cc] ? gamma / gamma_old[cc] : 0.0;
+      const double den = beta != 0.0 ? delta - beta * gamma / alpha_old[cc] : delta;
+      // A component whose z·r is 0 has converged exactly: its zero step is
+      // right. A zero p·A·p under a non-zero z·r is a breakdown.
+      if (den == 0.0 && gamma != 0.0) broken[cc] = 1;
+      const double alpha = den != 0.0 && !broken[cc] ? gamma / den : 0.0;
+      beta_.data()[c] = broken[cc] ? 0.0 : beta;
+      alpha_.data()[c] = alpha;
+      gamma_old[cc] = gamma;
+      alpha_old[cc] = alpha;
     }
-
-    op2::par_loop((pfx_ + "update_xr").c_str(), *m_.rows,
-                  [d](const double* av, const double* pv, const double* qv, double* xv,
-                      double* rv) {
-                    for (int c = 0; c < d; ++c) {
-                      xv[c] += av[c] * pv[c];
-                      rv[c] -= av[c] * qv[c];
-                    }
-                  },
-                  op2::read(alpha_), op2::read(*p_), op2::read(*q_), op2::rw(x),
-                  op2::rw(*r_));
-
-    apply_precond(*r_, *z_, (pfx_ + "precond_z").c_str());
-    dot_pair((pfx_ + "dot_rz_rr").c_str(), *z_, *r_);
-    for (int c = 0; c < d; ++c) {
-      const double rz_new = dots2_.data()[c];
-      const double rz_old = rz[static_cast<std::size_t>(c)];
-      beta_.data()[c] = rz_old != 0.0 ? rz_new / rz_old : 0.0;
-      rz[static_cast<std::size_t>(c)] = rz_new;
-    }
-    st.rnorm = aggregate_norm(dots2_.data() + d, d);
-    live = live_norm(dots2_.data() + d, broken);
+    update_->execute();  // p, s, x, r, z
+    dots_.set(0.0);
+    spmv_(m_, spmv_dots_loop_.c_str(), *z_, *w_, r_, &dots_);  // w = A z; dots
+    st.rnorm = norm(dots_.data() + 2 * d, all);
+    live = norm(dots_.data() + 2 * d, broken);
     st.history.push_back(st.rnorm);
     ++st.iters;
   }

@@ -9,14 +9,20 @@
 // SpMV is then one indirect-read par_loop per row — the kernel walks the
 // stencil row (op2::row) and reads x through a gather-free view
 // (op2::read_span) — so the halo exchange, latency hiding and loop-chain
-// fusion machinery apply to the solve exactly as to any other loop.
+// machinery apply to the solve exactly as to any other loop.
+//
+// CG is the single-reduction (Chronopoulos–Gear) form: an iteration is one
+// direct update loop and one SpMV loop that also folds the iteration's
+// three dot products, so it pays one halo exchange and one collective.
+// Every solve starts from x = 0, so its set-up is one direct loop with no
+// SpMV.
 //
 // The solver treats a dim-d right-hand side as d independent scalar systems
 // sharing the stencil (hydra's 5 conservative state components): every dot
 // product reduces per component and the step scalars alpha/beta are
-// per-component, so each component marches its own optimal CG trajectory
-// while all d ride the same loops and the same collective per dot round
-// (component-batched Global reductions).
+// per-component, so each component marches its own CG trajectory while all
+// d ride the same loops and the same collective (component-batched Global
+// reductions).
 //
 // Reduction-determinism contract: with Config::deterministic_reductions on,
 // every dot product folds per-element products in ascending *global* id
@@ -63,10 +69,11 @@ struct SolveOptions {
   double rtol = 1e-8;
 };
 
-/// How a solve ended. Breakdown: a step's denominator p·q was exactly zero
-/// for a component whose z·r was not, so that component cannot continue. It takes zero
-/// steps from then on, the other components go on until their own
-/// residual meets the tolerance, and the solve reports Breakdown.
+/// How a solve ended. Breakdown: a step's denominator p·A·p (computed as
+/// w·z − β·γ/α_old from the iteration's dots) was exactly zero for a
+/// component whose z·r was not, so that component cannot continue. It
+/// takes zero steps from then on, the other components go on until their
+/// own residual meets the tolerance, and the solve reports Breakdown.
 enum class SolveStatus { Converged, MaxIters, Breakdown };
 
 struct SolveStats {
@@ -92,9 +99,13 @@ class Solver {
 
   Solver(op2::Context& ctx, StencilMatrix m, int dim, std::string name);
 
-  /// Solves A x = b (d components independently). `x` holds the initial
-  /// guess on entry and the solution on exit.
-  SolveStats solve(op2::Dat<double>& x, op2::Dat<double>& b, const SolveOptions& opts);
+  /// Solves A x = b (d components independently) from x = 0 into x():
+  /// whatever x() held on entry is overwritten unread.
+  SolveStats solve(op2::Dat<double>& b, const SolveOptions& opts);
+
+  /// The solution of the last solve (dim d on the rows set). The solver
+  /// owns it because its declared update loop binds it.
+  [[nodiscard]] op2::Dat<double>& x() { return *x_; }
 
   /// out = A in (both dim d on the rows set), as the loop named `loop`.
   void spmv(const char* loop, op2::Dat<double>& in, op2::Dat<double>& out);
@@ -103,40 +114,36 @@ class Solver {
   [[nodiscard]] int dim() const { return d_; }
 
  private:
-  void prepare();
-  void apply_precond(op2::Dat<double>& in, op2::Dat<double>& out, const char* loop);
-  void dot_pair(const char* loop, op2::Dat<double>& u, op2::Dat<double>& v);
-  void dot_single(const char* loop, op2::Dat<double>& u, op2::Dat<double>& v);
-
   op2::Context& ctx_;
   StencilMatrix m_;
   int d_;
-  /// The SpMV instantiation for d_: runs it as a par_loop, or appends it
-  /// to `chain` when that is non-null.
-  void (*spmv_)(const StencilMatrix& m, op2::LoopChain* chain, const char* loop,
-                op2::Dat<double>& in, op2::Dat<double>& out);
+  /// The SpMV instantiation for d_: out = A in, and with `dots` (CG's
+  /// iteration: in = z, out = w) also the dots of z, w and r.
+  void (*spmv_)(const StencilMatrix& m, const char* loop, op2::Dat<double>& in,
+                op2::Dat<double>& out, op2::Dat<double>* r, op2::Global<double>* dots);
   std::string name_;
   std::string pfx_;
+  std::string spmv_dots_loop_;  ///< the per-iteration loop's name, built once
 
   // Work vectors (dim d on the rows set).
+  op2::Dat<double>* x_;
   op2::Dat<double>* r_;
   op2::Dat<double>* z_;  ///< preconditioned residual
+  op2::Dat<double>* w_;  ///< A z
   op2::Dat<double>* p_;
-  op2::Dat<double>* q_;  ///< A p
-
-  // Reductions (Inc) and per-component step scalars (Read).
-  op2::Global<double> dots2_;  ///< dim 2d: paired per-component dots
-  op2::Global<double> dot1_;   ///< dim d
-  op2::Global<double> alpha_;
-  op2::Global<double> beta_;
+  op2::Dat<double>* s_;  ///< A p, by recurrence
 
   // Jacobi: reciprocal diagonal (dim 1).
   op2::Dat<double>* invdiag_;
 
-  /// The CG iteration's direction update + SpMV (p = z + beta p; q = A p),
-  /// declared on the first CG solve: one fused halo epoch covers the SpMV's
-  /// read of p.
-  std::unique_ptr<op2::LoopChain> cg_iter_;
+  // The iteration's reduction (Inc) and per-component step scalars (Read).
+  op2::Global<double> dots_;  ///< dim 3d: z·r, w·z, r·r per component
+  op2::Global<double> alpha_;
+  op2::Global<double> beta_;
+
+  /// The CG iteration's direct update, declared on the first solve: a
+  /// one-member LoopChain, so its execution count is the iteration count.
+  std::unique_ptr<op2::LoopChain> update_;
 };
 
 }  // namespace vcgt::krylov

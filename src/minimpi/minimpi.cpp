@@ -40,6 +40,24 @@ std::shared_ptr<CommState> make_world_state(int nranks, const WorldOptions& opts
   return state;
 }
 
+std::vector<StallReport::BlockedOp> stalled_ops(CommState& state, double timeout) {
+  const std::int64_t now = now_ns();
+  std::vector<StallReport::BlockedOp> stuck;
+  for (std::size_t r = 0; r < state.slots.size(); ++r) {
+    const BlockedSlot& slot = *state.slots[r];
+    if (slot.returned.load(std::memory_order_acquire)) continue;
+    const int active = slot.active.load(std::memory_order_acquire);
+    const double age =
+        static_cast<double>(now - slot.since_ns.load(std::memory_order_relaxed)) * 1e-9;
+    if (active == 0 || age < timeout) return {};
+    stuck.push_back({static_cast<int>(r), active == 2 ? "barrier" : "recv",
+                     slot.peer.load(std::memory_order_relaxed),
+                     slot.tag.load(std::memory_order_relaxed), age,
+                     slot.ops.load(std::memory_order_relaxed)});
+  }
+  return stuck;
+}
+
 void Mailbox::flush_deferred_locked() {
   while (!deferred_.empty()) {
     queue_.push_back(std::move(deferred_.front()));
@@ -502,12 +520,14 @@ void World::run(int nranks, const std::function<void(Comm&)>& fn, const WorldOpt
   std::atomic<bool> done{false};
 
   // Progress watchdog: converts a silent deadlock into a structured
-  // WorldStalled diagnosis. A stall is declared only when some rank has been
-  // blocked beyond stall_timeout AND the world-wide op counter has not moved
-  // between two samples — a slow-but-progressing world is left alone.
+  // WorldStalled diagnosis. A stall is declared only when the world-wide op
+  // counter has not moved between two samples AND every rank that has not
+  // returned has been blocked beyond stall_timeout — a slow-but-progressing
+  // world, or one whose blocked ranks wait on a peer still computing, is
+  // left alone.
   std::thread watchdog;
   if (opts.stall_timeout > 0.0) {
-    watchdog = std::thread([&, state, nranks] {
+    watchdog = std::thread([&, state] {
       const double interval = std::clamp(opts.stall_timeout / 8.0, 1e-3, 0.1);
       std::uint64_t last_ops = ~std::uint64_t{0};
       while (!done.load(std::memory_order_relaxed)) {
@@ -517,20 +537,7 @@ void World::run(int nranks, const std::function<void(Comm&)>& fn, const WorldOpt
         const bool progressed = ops_now != last_ops;
         last_ops = ops_now;
         if (progressed) continue;
-        const std::int64_t now = detail::now_ns();
-        std::vector<StallReport::BlockedOp> stuck;
-        for (int r = 0; r < nranks; ++r) {
-          auto& slot = *state->slots[static_cast<std::size_t>(r)];
-          const int active = slot.active.load(std::memory_order_acquire);
-          if (active == 0) continue;
-          const double age =
-              static_cast<double>(now - slot.since_ns.load(std::memory_order_relaxed)) * 1e-9;
-          if (age < opts.stall_timeout) continue;
-          stuck.push_back({r, active == 2 ? "barrier" : "recv",
-                           slot.peer.load(std::memory_order_relaxed),
-                           slot.tag.load(std::memory_order_relaxed), age,
-                           slot.ops.load(std::memory_order_relaxed)});
-        }
+        auto stuck = detail::stalled_ops(*state, opts.stall_timeout);
         if (stuck.empty()) continue;
         StallReport report;
         report.stall_timeout = opts.stall_timeout;
@@ -563,6 +570,7 @@ void World::run(int nranks, const std::function<void(Comm&)>& fn, const WorldOpt
         }
         state->poison_world();
       }
+      state->slots[static_cast<std::size_t>(r)]->returned.store(true, std::memory_order_release);
       detail::t_world_rank = -1;
     });
   }

@@ -105,8 +105,8 @@ struct StallReport {
 };
 
 /// Thrown from World::run when the progress watchdog detects that no rank is
-/// making communication progress while at least one is blocked beyond
-/// WorldOptions::stall_timeout.
+/// making communication progress while every rank that has not returned is
+/// blocked beyond WorldOptions::stall_timeout.
 class WorldStalled : public std::runtime_error {
  public:
   explicit WorldStalled(StallReport report);

@@ -46,14 +46,21 @@ std::future<WorkerPool::JobResult> WorkerPool::submit(Job job) {
       return fut;
     }
     if (current_ == nullptr) {
-      current_ = std::move(pending);
-      ++job_seq_;
+      start_locked(std::move(pending));
     } else {
       queue_.push_back(std::move(pending));
     }
   }
   cv_.notify_all();
   return fut;
+}
+
+void WorkerPool::start_locked(std::unique_ptr<Pending> job) {
+  current_ = std::move(job);
+  ++job_seq_;
+  // No rank is inside a job here, so the watchdog sees every rank as
+  // running the new job until it returns from it.
+  for (auto& slot : state_->slots) slot->returned.store(false, std::memory_order_release);
 }
 
 std::uint64_t WorkerPool::generation() const {
@@ -100,6 +107,7 @@ void WorkerPool::rank_main(int r) {
     // Poison before reporting: peers blocked in a collective with the dead
     // rank must wake (with WorldAborted) or the job never finishes.
     if (!err.empty()) state->poison_world();
+    state->slots[ri]->returned.store(true, std::memory_order_release);
 
     lock.lock();
     rank_errors_[ri] = err;
@@ -134,9 +142,8 @@ WorkerPool::finalize_locked() {
   finished_ = 0;
   std::fill(rank_errors_.begin(), rank_errors_.end(), std::string{});
   if (!stop_ && !queue_.empty()) {
-    current_ = std::move(queue_.front());
+    start_locked(std::move(queue_.front()));
     queue_.pop_front();
-    ++job_seq_;
   }
   return {std::move(promise), std::move(res)};
 }
@@ -170,17 +177,7 @@ void WorkerPool::watchdog_main() {
     const bool progressed = ops_now != last_ops;
     last_ops = ops_now;
     if (progressed) continue;
-    const std::int64_t now = detail::now_ns();
-    bool stalled = false;
-    for (int r = 0; r < nranks_; ++r) {
-      auto& slot = *state->slots[static_cast<std::size_t>(r)];
-      const int active = slot.active.load(std::memory_order_acquire);
-      if (active == 0) continue;
-      const double age =
-          static_cast<double>(now - slot.since_ns.load(std::memory_order_relaxed)) * 1e-9;
-      if (age >= opts_.stall_timeout) stalled = true;
-    }
-    if (!stalled) continue;
+    if (detail::stalled_ops(*state, opts_.stall_timeout).empty()) continue;
     util::error("minimpi::WorkerPool: stall detected (no progress for {}s), poisoning world",
                 opts_.stall_timeout);
     state->poison_world();

@@ -23,8 +23,8 @@
 //    bumps, so the next job starts clean — a killed job can never hang the
 //    pool or leak its failure into the next job;
 //  - an optional progress watchdog (WorldOptions::stall_timeout) poisons a
-//    world whose ranks are all blocked with no progress, converting a
-//    deadlocked job into a failed one.
+//    world whose ranks still in the job are all blocked with no progress,
+//    converting a deadlocked job into a failed one.
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -80,6 +80,8 @@ class WorkerPool {
  private:
   struct Pending;
 
+  /// Makes `job` the current job, with every rank not yet returned from it.
+  void start_locked(std::unique_ptr<Pending> job);
   void rank_main(int r);
   void watchdog_main();
   /// Called by the last rank to finish the current job, with mutex_ held.

@@ -31,6 +31,7 @@ struct BlockedSlot {
   std::atomic<int> tag{0};
   std::atomic<std::int64_t> since_ns{0};
   std::atomic<std::uint64_t> ops{0};  ///< completed comm ops on this rank
+  std::atomic<bool> returned{false};  ///< the rank's function has returned
 };
 
 /// Shared state of one communicator: mailboxes, barrier, split rendezvous,
@@ -166,5 +167,12 @@ struct CommState {
 /// Builds a root world state the way World::run does: options applied,
 /// fault plan sized, one watchdog slot per rank.
 std::shared_ptr<CommState> make_world_state(int nranks, const WorldOptions& opts);
+
+/// The watchdog's stall test on a root state whose op counter has not
+/// moved since its last sample: the blocked ops of every rank that has not
+/// returned, when each of those ranks has been blocked for at least
+/// `timeout` seconds. Empty otherwise — a rank still computing or not yet
+/// started can yet send, so its blocked peers are not stalled.
+std::vector<StallReport::BlockedOp> stalled_ops(CommState& state, double timeout);
 
 }  // namespace vcgt::minimpi::detail

@@ -15,6 +15,7 @@
 #include "src/jm76/monolithic.hpp"
 #include "src/minimpi/fault.hpp"
 #include "src/minimpi/minimpi.hpp"
+#include "src/minimpi/pool.hpp"
 #include "src/op2/op2.hpp"
 #include "tests/testmesh.hpp"
 
@@ -269,6 +270,56 @@ TEST(Watchdog, LeavesSlowButProgressingWorldAlone) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }, opts);
+}
+
+// One rank computes without a comm op for over three stall windows while
+// its peer waits in recv: the op counter stands still and the peer is
+// blocked beyond stall_timeout, but the computing rank can still send, so
+// it is not a stall. Checked for World::run and for WorkerPool's watchdog.
+TEST(Watchdog, PeerComputingWithoutOpsIsNotAStall) {
+  WorldOptions opts;
+  opts.stall_timeout = 0.1;
+  const auto job = [](Comm& c) {
+    if (c.rank() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(350));
+      c.send_value(7, 1, 5);
+    } else {
+      EXPECT_EQ(c.recv_value<int>(0, 5), 7);
+    }
+  };
+  EXPECT_NO_THROW(World::run(2, job, opts));
+
+  WorkerPool pool(2, opts);
+  const auto res = pool.submit([&](Comm& c, std::shared_ptr<void>&) { job(c); }).get();
+  EXPECT_TRUE(res.ok) << res.error;
+  EXPECT_FALSE(res.world_rebuilt);
+}
+
+// A rank that waits on a peer which has already returned can never be
+// served: with every rank still running blocked, it is a stall. The pool's
+// watchdog poisons the job's world and the pool rebuilds it.
+TEST(Watchdog, RankWaitingOnReturnedPeerIsAStall) {
+  WorldOptions opts;
+  opts.stall_timeout = 0.1;
+  const auto job = [](Comm& c) {
+    if (c.rank() == 1) (void)c.recv_bytes(0, 321);
+  };
+  try {
+    World::run(2, job, opts);
+    FAIL() << "expected WorldStalled";
+  } catch (const WorldStalled& e) {
+    const auto& rep = e.report();
+    ASSERT_EQ(rep.blocked.size(), 1u);
+    EXPECT_EQ(rep.blocked[0].rank, 1);
+    EXPECT_EQ(rep.blocked[0].tag, 321);
+  }
+
+  WorkerPool pool(2, opts);
+  const auto res = pool.submit([&](Comm& c, std::shared_ptr<void>&) { job(c); }).get();
+  EXPECT_FALSE(res.ok);
+  EXPECT_TRUE(res.world_rebuilt);
+  EXPECT_TRUE(res.rank_errors[0].empty());
+  EXPECT_FALSE(res.rank_errors[1].empty());
 }
 
 TEST(Poison, RecvThrowsEvenWithQueuedMessage) {

@@ -1,6 +1,7 @@
 // hydra::RowSolver physics and parallel-equivalence tests.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 
@@ -446,12 +447,15 @@ TEST(HydraFlux, CellPrimitivesResidualMatchesPerFaceReference) {
   }
 }
 
-// implicit_assemble takes the row's own sound speed once per row and |A|
-// once per slot. Its coefficients equal, bit for bit, a reference that
-// calls face_wavespeed() on both sides of every slot, serially and on 2
-// ranks. The reference rebuilds the solver's stencil from the mesh: slot 0
-// the cell, then its interior-face neighbours in face order, then
-// (self, zero-area) pads.
+// The implicit Jacobian is assembled in two places: ws_face writes each
+// interior face's off-diagonal coefficient into the two stencil slots the
+// face owns, and implicit_assemble writes the diagonal. Together they equal,
+// bit for bit, a reference that calls face_wavespeed() on both sides of
+// every slot with the slot's outward area, serially and on 2 ranks. The
+// reference rebuilds the solver's stencil from the mesh: slot 0 the cell,
+// then its interior-face neighbours in face order with the face's area
+// vector (negated on the right-hand cell), then (self, zero-area) pads,
+// whose coefficient is -0.0.
 TEST(HydraImplicit, AssemblyMatchesPerSlotReference) {
   using hydra::kNState;
   auto row = quiet_row();
@@ -466,7 +470,7 @@ TEST(HydraImplicit, AssemblyMatchesPerSlotReference) {
   const double omega = 1000.0;
 
   struct Fields {
-    std::vector<double> q, a, fgeom, vol, dtl, ws;
+    std::vector<double> q, a, vol, dtl, ws;
   };
   const auto run = [&](op2::Context& ctx) {
     RowSolver solver(ctx, mesh, row, omega, cfg);
@@ -486,7 +490,6 @@ TEST(HydraImplicit, AssemblyMatchesPerSlotReference) {
       return std::vector<double>{};
     };
     f.a = fetch("T:imat_a");
-    f.fgeom = fetch("T:fgeom");
     f.vol = fetch("T:vol");
     f.dtl = fetch("T:dtl");
     f.ws = fetch("T:ws");
@@ -494,34 +497,45 @@ TEST(HydraImplicit, AssemblyMatchesPerSlotReference) {
   };
 
   const auto nc = static_cast<std::size_t>(mesh.ncell);
-  std::vector<std::vector<std::size_t>> nbrs(nc);
+  struct Slot {
+    std::size_t nb;
+    std::array<double, 3> area;  ///< outward from the row's cell
+  };
+  std::vector<std::vector<Slot>> slots(nc);
   for (std::size_t e = 0; e < static_cast<std::size_t>(mesh.nface); ++e) {
     const auto cl = static_cast<std::size_t>(mesh.face2cell[e * 2]);
     const auto cr = static_cast<std::size_t>(mesh.face2cell[e * 2 + 1]);
-    nbrs[cl].push_back(cr);
-    nbrs[cr].push_back(cl);
+    const double* n = mesh.face_normal.data() + e * 3;
+    slots[cl].push_back({cr, {n[0], n[1], n[2]}});
+    slots[cr].push_back({cl, {-n[0], -n[1], -n[2]}});
   }
   const auto check = [&](const Fields& f) {
     ASSERT_FALSE(f.a.empty());
     ASSERT_EQ(f.a.size() % nc, 0u);
     const std::size_t width = f.a.size() / nc;
-    ASSERT_EQ(f.fgeom.size(), nc * 3 * width);
     std::vector<double> ref(f.a.size());
-    std::size_t nonzero = 0;
+    std::size_t nonzero = 0, pads = 0, pad_mismatches = 0;
     for (std::size_t c = 0; c < nc; ++c) {
       const double* qc = f.q.data() + c * kNState;
       ref[c * width] = f.vol[c] / f.dtl[c] + 0.0 * f.vol[c] + 0.5 * f.ws[c];
       for (std::size_t k = 1; k < width; ++k) {
-        const std::size_t nb = k - 1 < nbrs[c].size() ? nbrs[c][k - 1] : c;
-        const double* area = f.fgeom.data() + (c * width + k) * 3;
-        const double lam = 0.5 * (hydra::face_wavespeed(qc, area, cfg.gamma) +
-                                  hydra::face_wavespeed(f.q.data() + nb * kNState, area,
-                                                        cfg.gamma));
+        const bool pad = k - 1 >= slots[c].size();
+        const Slot s = pad ? Slot{c, {0.0, 0.0, 0.0}} : slots[c][k - 1];
+        const double lam =
+            0.5 * (hydra::face_wavespeed(qc, s.area.data(), cfg.gamma) +
+                   hydra::face_wavespeed(f.q.data() + s.nb * kNState, s.area.data(), cfg.gamma));
         ref[c * width + k] = -0.5 * lam;
         if (lam != 0.0) ++nonzero;
+        if (pad) {
+          ++pads;
+          const double v = f.a[c * width + k];
+          if (!(v == 0.0 && std::signbit(v))) ++pad_mismatches;
+        }
       }
     }
     EXPECT_GT(nonzero, nc);
+    EXPECT_GT(pads, 0u);
+    EXPECT_EQ(pad_mismatches, 0u) << "pad slots that are not -0.0, of " << pads;
     std::size_t mismatches = 0;
     for (std::size_t i = 0; i < ref.size(); ++i) {
       if (std::memcmp(&ref[i], &f.a[i], sizeof(double)) != 0) ++mismatches;

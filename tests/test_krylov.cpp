@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -117,6 +118,7 @@ struct SolveCase {
   int nthreads = 1;
   int d = 1;
   int chain_tile = op2::Config{}.chain_tile;  ///< 0: the eager reference
+  bool nan_x = false;  ///< fill the solver's x with NaN before the solve
   krylov::SolveOptions opts;
 };
 
@@ -142,14 +144,19 @@ SolveOut run_one(op2::Context& ctx, const rig::AnnulusMesh& mesh, const Ell& ell
   auto& rows = ctx.decl_set("cells", mesh.ncell);
   const auto m = declare_ell(ctx, rows, ell);
   auto& cc = ctx.decl_dat<double>(rows, 3, "cc", mesh.cell_center);
-  auto& x = ctx.decl_dat<double>(rows, sc.d, "x");
   auto& b = ctx.decl_dat<double>(rows, sc.d, "b", b_init);
   krylov::Solver solver(ctx, m, sc.d, "k");
   ctx.partition(op2::Partitioner::Rcb, cc);
 
+  if (sc.nan_x) {
+    const int d = sc.d;
+    op2::par_loop("nan_x", rows, [d](double* x) {
+      for (int c = 0; c < d; ++c) x[c] = std::numeric_limits<double>::quiet_NaN();
+    }, op2::write(solver.x()));
+  }
   SolveOut out;
-  out.stats = solver.solve(x, b, sc.opts);
-  out.x = ctx.fetch_global(x);
+  out.stats = solver.solve(b, sc.opts);
+  out.x = ctx.fetch_global(solver.x());
   return out;
 }
 
@@ -216,6 +223,104 @@ TEST(Krylov, CgRecoversEachComponentOfMultiRhs) {
   const auto out = run_case(mesh, ell, b, sc);
   EXPECT_EQ(out.stats.status, krylov::SolveStatus::Converged);
   expect_recovers(out, xstar, 1e-7);
+}
+
+/// Classic Jacobi-PCG on the host, two reductions per iteration (p·Ap,
+/// then z·r with r·r), per-component step scalars, from x = 0, stopping
+/// once the aggregate residual norm is at most rtol times its initial
+/// value: the textbook form the single-reduction solver recasts.
+struct HostCg {
+  int iters = 0;
+  std::vector<double> x;
+};
+HostCg classic_pcg(const Ell& e, index_t n, int d, const std::vector<double>& b, double rtol,
+                   int max_iters) {
+  const auto nd = b.size();
+  const auto du = static_cast<std::size_t>(d);
+  const auto inv = [&](std::size_t i) {
+    const double diag = e.a[i / du * static_cast<std::size_t>(e.width)];
+    return diag != 0.0 ? 1.0 / diag : 1.0;
+  };
+  HostCg out;
+  out.x.assign(nd, 0.0);
+  std::vector<double> r = b, z(nd), p(nd);
+  for (std::size_t i = 0; i < nd; ++i) z[i] = p[i] = inv(i) * r[i];
+  const auto dot = [&](const std::vector<double>& u, const std::vector<double>& v) {
+    std::vector<double> g(du, 0.0);
+    for (std::size_t i = 0; i < nd; ++i) g[i % du] += u[i] * v[i];
+    return g;
+  };
+  const auto norm = [&](const std::vector<double>& v) {
+    double ss = 0.0;
+    for (const double g : dot(v, v)) ss += g;
+    return std::sqrt(ss);
+  };
+  auto rz = dot(z, r);
+  const double tol = rtol * norm(r);
+  while (out.iters < max_iters && norm(r) > tol) {
+    const auto q = apply_ell(e, n, d, p);
+    const auto pq = dot(p, q);
+    for (std::size_t i = 0; i < nd; ++i) {
+      const double alpha = rz[i % du] / pq[i % du];
+      out.x[i] += alpha * p[i];
+      r[i] -= alpha * q[i];
+      z[i] = inv(i) * r[i];
+    }
+    const auto rz_new = dot(z, r);
+    for (std::size_t i = 0; i < nd; ++i) p[i] = z[i] + rz_new[i % du] / rz[i % du] * p[i];
+    rz = rz_new;
+    ++out.iters;
+  }
+  return out;
+}
+
+// The single-reduction recurrences are the classic ones rearranged, so on
+// the rig Laplacian the solver takes the classic PCG's iteration count to
+// within one and reaches the same answer.
+TEST(Krylov, SingleReductionMatchesClassicPcg) {
+  const auto mesh = rig::generate_row_mesh(test_row(), {3, 2, 8});
+  const auto ell = build_laplacian(mesh, 0.5, 0.0);
+  for (const int d : {1, 3}) {
+    SCOPED_TRACE(testing::Message() << "d=" << d);
+    const auto xstar = manufactured_x(mesh.ncell, d);
+    const auto b = apply_ell(ell, mesh.ncell, d, xstar);
+    SolveCase sc;
+    sc.d = d;
+    sc.opts.rtol = 1e-10;
+    const auto out = run_case(mesh, ell, b, sc);
+    const auto ref = classic_pcg(ell, mesh.ncell, d, b, sc.opts.rtol, sc.opts.max_iters);
+    EXPECT_EQ(out.stats.status, krylov::SolveStatus::Converged);
+    EXPECT_LE(std::abs(out.stats.iters - ref.iters), 1)
+        << "single-reduction " << out.stats.iters << ", classic " << ref.iters;
+    expect_recovers(out, ref.x, 1e-7);
+    expect_recovers(out, xstar, 1e-7);
+  }
+}
+
+// Every solve starts from x = 0 and never reads x's entry value: a
+// NaN-filled x gives the same history and answer, bit for bit.
+TEST(Krylov, EntryValueOfXIsNeverRead) {
+  const auto mesh = rig::generate_row_mesh(test_row(), {3, 2, 8});
+  const auto ell = build_laplacian(mesh, 0.5, 0.0);
+  const int d = 2;
+  const auto b = apply_ell(ell, mesh.ncell, d, manufactured_x(mesh.ncell, d));
+  for (const int nranks : {1, 2}) {
+    SCOPED_TRACE(testing::Message() << nranks << " ranks");
+    SolveCase zero;
+    zero.nranks = nranks;
+    zero.d = d;
+    zero.opts.rtol = 1e-9;
+    SolveCase nan = zero;
+    nan.nan_x = true;
+    const auto oz = run_case(mesh, ell, b, zero);
+    const auto on = run_case(mesh, ell, b, nan);
+    ASSERT_EQ(on.stats.history.size(), oz.stats.history.size());
+    EXPECT_EQ(std::memcmp(on.stats.history.data(), oz.stats.history.data(),
+                          oz.stats.history.size() * sizeof(double)),
+              0);
+    ASSERT_EQ(on.x.size(), oz.x.size());
+    EXPECT_EQ(std::memcmp(on.x.data(), oz.x.data(), oz.x.size() * sizeof(double)), 0);
+  }
 }
 
 TEST(Krylov, CgHistoryBitIdenticalAcrossBackends) {
@@ -322,10 +427,10 @@ TEST(Krylov, SpmvBitIdenticalAcrossDims) {
 }
 
 // A zero matrix with a non-zero b: Jacobi's zero-diagonal guard leaves
-// z = r, so CG's first p·q is zero under a non-zero z·r and every component
-// breaks down in the first iteration. The solve stops with Breakdown after
-// it, leaving x at its initial guess, instead of running to max_iters with
-// zero steps.
+// z = r, so CG's first p·A·p is zero under a non-zero z·r and every
+// component breaks down in the first iteration. The solve stops with
+// Breakdown after it, leaving x at zero, instead of running to max_iters
+// with zero steps.
 TEST(Krylov, ZeroMatrixStopsWithBreakdown) {
   const auto mesh = rig::generate_row_mesh(test_row(), {3, 2, 8});
   auto ell = build_laplacian(mesh, 0.5, 0.0);
@@ -346,10 +451,10 @@ TEST(Krylov, ZeroMatrixStopsWithBreakdown) {
 // One broken component must not stop the others. A is block diagonal with
 // zero-diagonal 2x2 blocks [[0, 1], [1, 0]] on rows (2k, 2k+1), so Jacobi's
 // zero-diagonal guard makes z = r. Component 0's b = (1, 0) per pair gives
-// z·r = 1 per pair but p·q = 0: a breakdown. Component 1's b = (1, 1) is an
+// z·r = 1 per pair but p·A·p = 0: a breakdown. Component 1's b = (1, 1) is an
 // eigenvector, so it converges in one step to x = (1, 1). The solve stops
 // once component 1 meets the tolerance and reports Breakdown, with
-// component 0 still at its initial guess.
+// component 0 still at zero.
 TEST(Krylov, BrokenComponentLeavesTheOthersConverging) {
   const auto mesh = rig::generate_row_mesh(test_row(), {3, 2, 8});
   ASSERT_EQ(mesh.ncell % 2, 0);
@@ -384,7 +489,7 @@ TEST(Krylov, BrokenComponentLeavesTheOthersConverging) {
 }
 
 // A component whose right-hand side is zero has converged from the start:
-// its zero p·q comes with a zero z·r, so it takes zero steps, not a
+// its zero p·A·p comes with a zero z·r, so it takes zero steps, not a
 // breakdown, and the other component converges.
 TEST(Krylov, ZeroRhsComponentIsNotABreakdown) {
   const auto mesh = rig::generate_row_mesh(test_row(), {3, 2, 8});

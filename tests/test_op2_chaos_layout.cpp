@@ -133,12 +133,15 @@ TEST_P(ChaosLayout, GhostPayloadsBitMatchAoSUnderDuplicateReorder) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, ChaosLayout,
-                         testing::Values(ChaosLayoutCase{2, false, false, 11},
-                                         ChaosLayoutCase{2, true, false, 12},
-                                         ChaosLayoutCase{3, false, true, 13},
-                                         ChaosLayoutCase{3, true, true, 14},
-                                         ChaosLayoutCase{4, true, true, 15}),
+// A static array: gtest names each case with a byte dump of its param,
+// and static storage zero-fills ChaosLayoutCase's padding, so the names are
+// the same in every build.
+constexpr ChaosLayoutCase kChaosLayoutCases[] = {{2, false, false, 11},
+                                                 {2, true, false, 12},
+                                                 {3, false, true, 13},
+                                                 {3, true, true, 14},
+                                                 {4, true, true, 15}};
+INSTANTIATE_TEST_SUITE_P(Sweep, ChaosLayout, testing::ValuesIn(kChaosLayoutCases),
                          [](const testing::TestParamInfo<ChaosLayoutCase>& info) {
                            const auto& c = info.param;
                            return "r" + std::to_string(c.nranks) +
